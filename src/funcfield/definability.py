@@ -5,7 +5,8 @@ Four independent tools live here:
 * brute-force slice enumeration of the solutions of a polynomial system
   over F_p[z] with degree-bounded unknowns, and the union of the projected
   slices as the witness degree grows (`enumerate_slice`, `slice_union`);
-* zero sets of finite polynomial families over F_p (`zero_set`);
+* zero sets of finite polynomial families over F_p, by gcds with z^p - z
+  (`zero_set`);
 * Hermite (Ostrogradsky) reduction g = h' + r with squarefree remainder
   denominator, and the derivative test built on it (`hermite_reduce`,
   `is_derivative`);
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import PrimeField
+from .fields import FpElement, PrimeField, same_field
 from .poly import Poly, poly_gcd
 from .ratfun import RatFun
 
@@ -118,12 +119,121 @@ def _tuple_key(polys: Tuple[Poly, ...]):
     return tuple(_poly_key(p) for p in polys)
 
 
-def _all_polys(field: PrimeField, max_degree: int) -> List[Poly]:
-    """All polynomials over F_p of degree <= max_degree, deterministic order."""
+# -- F_p[z] on int lists -------------------------------------------------
+#
+# The slicer and zero sets run on coefficient lists of ints in [0, p), low
+# degree first, with no trailing zeros ([] is the zero polynomial).  Poly
+# and FpElement objects are built only for the values returned.
+
+
+def _trim(cs: List[int]) -> List[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    # p is prime, so the product of two leading coefficients is nonzero
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return [c % p for c in out]
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int,
+            ) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder; b must be nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv, low = pow(b[-1], -1, p), b[:db]
+    quot = [0] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[db + k] * inv % p
+        quot[k] = c
+        if c:
+            for i, d in enumerate(low, k):
+                rem[i] = (rem[i] - c * d) % p
+    return quot, _trim(rem[:db])
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """Monic gcd; a must be nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
+    """a^e mod m by square-and-multiply; deg m >= 1."""
+    result = [1]
+    a = _divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, a, p), m, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod(_mul(a, a, p), m, p)[1]
+    return result
+
+
+def _monomials(values: Sequence[Sequence[int]],
+               exponent_vectors: Sequence[Tuple[int, ...]],
+               p: int) -> List[List[int]]:
+    """prod_i values[i]^e[i] for each exponent vector e (0^0 = 1)."""
+    powers = [[[1]] for _ in values]
     out = []
-    for coeffs in itertools.product(range(field.p), repeat=max_degree + 1):
-        out.append(Poly(coeffs, field))
+    for e in exponent_vectors:
+        term = [1]
+        for value, cache, k in zip(values, powers, e):
+            while len(cache) <= k:
+                cache.append(_mul(cache[-1], value, p))
+            term = _mul(term, cache[k], p)
+        out.append(term)
     return out
+
+
+def _sparse(cs: Sequence[int]) -> List[Tuple[int, int]]:
+    return [(i, c) for i, c in enumerate(cs) if c]
+
+
+def _vanishes(live, y_mono: Sequence[List[Tuple[int, int]]], p: int) -> bool:
+    """Whether A_0 + sum_b A_b y^b is zero for every live equation.
+
+    The sums are formed unreduced and tested mod p once; the test stops at
+    the first equation that does not vanish.
+    """
+    for const, terms in live:
+        value = const[:]
+        for i, a_b in terms:
+            y_b = y_mono[i]
+            for k, c in a_b:
+                for j, d in y_b:
+                    value[j + k] += c * d
+        if any(map(p.__rmod__, value)):  # some v % p != 0
+            return False
+    return True
+
+
+def _coefficient_tuples(p: int, max_degree: int) -> List[Tuple[int, ...]]:
+    """All polynomials over F_p of degree <= max_degree, deterministic order."""
+    return [tuple(_trim(list(cs)))
+            for cs in itertools.product(range(p), repeat=max_degree + 1)]
 
 
 @dataclass(frozen=True)
@@ -140,35 +250,95 @@ class SliceResult:
 def enumerate_slice(system: DioSystem, alpha: int, beta: int,
                     max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
                     ) -> SliceResult:
-    """Exhaustive search over all coefficient tuples of the two degree slices."""
+    """Exhaustive search over all coefficient tuples of the two degree slices.
+
+    Each equation is grouped by y-exponent vector b as F = sum_b A_b(x) y^b.
+    The A_b are evaluated once per x-tuple and the y^b once per y-tuple, so
+    each candidate only multiplies A_b by y^b and adds, and moves on at the
+    first equation that does not vanish.  An equation free of y rules out
+    or passes the whole x-tuple at once.  The output is sorted, so the
+    order of the two loops is free: the block with fewer tuples is the
+    inner one, kept in memory.
+    """
     if alpha < 0 or beta < 0:
         raise ValueError("degree bounds must be >= 0")
     required = system.field.p ** ((alpha + 1) * system.n
                                   + (beta + 1) * system.m)
     if required > max_candidates:
         raise BudgetError(required, max_candidates)
-    x_space = _all_polys(system.field, alpha)
-    y_space = _all_polys(system.field, beta)
+    p, n, m = system.field.p, system.n, system.m
+    no_y = (0,) * m
+    equations = []  # per equation: {b: [(x-exponents a, coefficient)]}
+    for poly in system.polys:
+        groups: Dict[Tuple[int, ...], list] = {}
+        for exponents, coeff in poly:
+            groups.setdefault(exponents[n:], []).append(
+                (exponents[:n], [c.v for c in coeff.coeffs]))
+        equations.append(groups)
+    x_exps = sorted({a for groups in equations
+                     for terms in groups.values() for a, _ in terms})
+    y_exps = sorted({b for groups in equations for b in groups} - {no_y})
+    y_index = {b: i for i, b in enumerate(y_exps)}
+
+    def live_equations(xs):
+        """(A_0 padded, [(index of b, sparse A_b)]) for each equation that
+        depends on y; None when an equation free of y does not vanish."""
+        x_mono = dict(zip(x_exps, _monomials(xs, x_exps, p)))
+        live = []
+        for groups in equations:
+            const, terms, width = [], [], 0
+            for b, group in groups.items():
+                a_b = []
+                for a, coeff in group:
+                    a_b = _add(a_b, _mul(coeff, x_mono[a], p), p)
+                if not a_b:
+                    continue
+                if b == no_y:
+                    const = a_b
+                else:
+                    terms.append((y_index[b], _sparse(a_b)))
+                    # deg y^b <= beta * |b|
+                    width = max(width, len(a_b) + beta * sum(b))
+            if terms:
+                live.append((const + [0] * (width - len(const)), terms))
+            elif const:
+                return None
+        return live
+
+    x_rows = ((xs, live_equations(xs)) for xs in itertools.product(
+        _coefficient_tuples(p, alpha), repeat=n))
+    y_rows = ((ys, [_sparse(v) for v in _monomials(ys, y_exps, p)])
+              for ys in itertools.product(_coefficient_tuples(p, beta),
+                                          repeat=m))
+    # the smaller block has at most sqrt(required) tuples
     solutions = []
-    projection_keys = set()
-    projection = []
-    previous_keys = set()
-    for xs in itertools.product(x_space, repeat=system.n):
-        for ys in itertools.product(y_space, repeat=system.m):
-            if any(not v.is_zero for v in system.evaluate(xs + ys)):
-                continue
-            solutions.append((xs, ys))
-            key = _tuple_key(xs)
-            if key not in projection_keys:
-                projection_keys.add(key)
-                projection.append(xs)
-            if beta > 0 and all(y.degree <= beta - 1 for y in ys):
-                previous_keys.add(key)
-    stabilized = beta > 0 and previous_keys == projection_keys
-    solutions.sort(key=lambda pair: (_tuple_key(pair[0]), _tuple_key(pair[1])))
-    projection.sort(key=_tuple_key)
-    return SliceResult(alpha, beta, tuple(solutions), tuple(projection),
-                       stabilized)
+    if (alpha + 1) * n <= (beta + 1) * m:
+        x_table = [(xs, live) for xs, live in x_rows if live is not None]
+        for ys, y_mono in y_rows:
+            solutions += [(xs, ys) for xs, live in x_table
+                          if _vanishes(live, y_mono, p)]
+    else:
+        y_table = list(y_rows)
+        for xs, live in x_rows:
+            if live is not None:
+                solutions += [(xs, ys) for ys, y_mono in y_table
+                              if _vanishes(live, y_mono, p)]
+
+    solutions.sort()
+    projection = sorted({xs for xs, _ in solutions})
+    previous = {xs for xs, ys in solutions
+                if all(len(y) <= beta for y in ys)}
+    stabilized = beta > 0 and previous == set(projection)
+    poly_of = {k: Poly(k, system.field)
+               for k in {k for xs, ys in solutions for k in xs + ys}}
+
+    def as_polys(keys):
+        return tuple(poly_of[k] for k in keys)
+
+    return SliceResult(
+        alpha, beta,
+        tuple((as_polys(xs), as_polys(ys)) for xs, ys in solutions),
+        tuple(as_polys(xs) for xs in projection), stabilized)
 
 
 @dataclass(frozen=True)
@@ -201,11 +371,43 @@ def slice_union(system: DioSystem, alpha: int, beta_max: int,
     return SliceUnionResult(alpha, beta_max, members, stabilized_at)
 
 
+def _distinct_roots(f: List[int], p: int) -> List[int]:
+    """The roots in F_p of a nonzero f, each once.
+
+    g = gcd(f, z^p - z) is the product of (z - r) over the roots r, found
+    with O(log p) squarings mod f.  g is split by deterministic
+    equal-degree splitting: (z + a)^((p-1)/2) = 1 holds at r exactly when
+    r + a is a nonzero square, so gcd(g, (z + a)^((p-1)/2) - 1) separates
+    two roots r, s for some a in F_p (the squares are not invariant under
+    the shift by r - s), and the a that failed on g fail on its factors.
+    """
+    if len(f) < 2:
+        return []
+    if p == 2:
+        return [r for r, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
+    g = _gcd(f, _add(_powmod([0, 1], p, f, p), [0, p - 1], p), p)
+    roots = []
+    pending = [(g, 0)]  # (monic product of distinct z - r, next shift a)
+    while pending:
+        g, a = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            h = g
+            while not 1 < len(h) < len(g):
+                h = _gcd(g, _add(_powmod([a, 1], (p - 1) // 2, g, p),
+                                 [p - 1], p), p)
+                a += 1
+            pending += [(h, a), (_divmod(g, h, p)[0], a)]
+    return roots
+
+
 def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
     """All a in F_p with f(a) = 0 for some f in the family.
 
-    The zero polynomial vanishes everywhere.  The field may be omitted when
-    the family is nonempty.
+    The zero polynomial vanishes everywhere; nonzero constants nowhere.
+    The field may be omitted when the family is nonempty.  Each f costs
+    O(d^2 log p) operations in F_p for d = deg f, not O(p).
     """
     polys = list(polys)
     if field is None:
@@ -213,14 +415,16 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
             return frozenset()
         field = polys[0].field
     if not isinstance(field, PrimeField):
-        raise ValueError("zero sets are enumerated over prime fields only")
+        raise ValueError("zero sets are computed over prime fields only")
+    for f in polys:
+        same_field(f.field, field)
+    if any(f.is_zero for f in polys):
+        return frozenset(field.elements())
+    p = field.p
     roots = set()
-    for a in field.elements():
-        for f in polys:
-            if not f(a):
-                roots.add(a)
-                break
-    return frozenset(roots)
+    for f in polys:
+        roots.update(_distinct_roots([c.v for c in f.coeffs], p))
+    return frozenset(FpElement(r, p) for r in roots)
 
 
 # -- Hermite reduction and the derivative test ---------------------------

@@ -20,11 +20,21 @@ class FieldMismatchError(ValueError):
     """Operands carry different field tags."""
 
 
+# psi_13, the least strong pseudoprime to the 13 prime bases 2..41
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017): below it the test in `is_prime` is a proof.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact for n < 3.3 * 10**24)."""
+    """Miller-Rabin test with the prime bases 2..41.
+
+    Exact for n < MILLER_RABIN_BOUND; above it a strong-probable-prime
+    test, which PrimeField refuses to rely on.
+    """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -186,6 +196,10 @@ class PrimeField:
     """Tag for F_p, p prime; elements are `FpElement`."""
 
     def __init__(self, p: int):
+        if p >= MILLER_RABIN_BOUND:
+            raise ValueError(
+                f"{p} is not below {MILLER_RABIN_BOUND}, the bound up to "
+                f"which primality is proven")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

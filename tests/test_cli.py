@@ -1,6 +1,7 @@
 """Dispatch, exit codes, determinism and round-trips of the CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_zero_set_command():
     report = dispatch(["zero-set", "--p", "2",
                        "--poly", "0", "--poly", "z^2+1"])
     assert report.outputs["roots"] == ["0", "1"]
+
+
+def test_zero_set_command_at_large_p():
+    # 5 is a non-residue mod 10^9 + 7, so z^2 - 5 adds no roots
+    start = time.perf_counter()
+    report = dispatch(["zero-set", "--p", "1000000007",
+                       "--poly", "(z-5)*(z-77)*(z^2-5)"])
+    assert time.perf_counter() - start < 1.0
+    assert report.outputs["roots"] == ["5", "77"]
 
 
 def test_verify_commands_pass():

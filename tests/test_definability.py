@@ -1,5 +1,6 @@
 """Slice enumeration, zero sets, Hermite reduction, Frobenius splitting."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from funcfield.definability import (BudgetError, DioSystem, enumerate_slice,
                                     frobenius_decompose, hermite_reduce,
                                     is_derivative, nonsquare_pair_check,
                                     slice_union, zero_set)
-from funcfield.fields import PrimeField, QQ
-from funcfield.poly import poly_gcd
+from funcfield.fields import FieldMismatchError, PrimeField, QQ
+from funcfield.poly import Poly, poly_gcd
 from funcfield.ratfun import RatFun
 from funcfield.textio import parse_poly, parse_ratfun
 from funcfield.verify import random_ratfun, square_slice_system
@@ -101,6 +102,135 @@ def test_slice_union_unsatisfiable():
     assert union.stabilized_at == 0
 
 
+# -- slice enumeration against the per-candidate reference --------------------
+
+
+def _key(polys):
+    return tuple(tuple(c.v for c in q.coeffs) for q in polys)
+
+
+def reference_slice(system, alpha, beta):
+    """Every candidate tuple through DioSystem.evaluate, one at a time."""
+    field = system.field
+
+    def space(degree):
+        return [Poly(cs, field) for cs in
+                itertools.product(range(field.p), repeat=degree + 1)]
+
+    solutions = [(xs, ys)
+                 for xs in itertools.product(space(alpha), repeat=system.n)
+                 for ys in itertools.product(space(beta), repeat=system.m)
+                 if all(v.is_zero for v in system.evaluate(xs + ys))]
+    solutions.sort(key=lambda pair: (_key(pair[0]), _key(pair[1])))
+    projection = sorted({_key(xs): xs for xs, _ in solutions}.values(),
+                        key=_key)
+    previous = {_key(xs) for xs, ys in solutions
+                if all(y.degree <= beta - 1 for y in ys)}
+    stabilized = beta > 0 and previous == {_key(xs) for xs in projection}
+    return tuple(solutions), tuple(projection), stabilized
+
+
+def reference_union(system, alpha, beta_max):
+    members, previous, stabilized_at = {}, None, None
+    for beta in range(beta_max + 1):
+        _, projection, _ = reference_slice(system, alpha, beta)
+        keys = {_key(xs) for xs in projection}
+        for xs in projection:
+            members.setdefault(_key(xs), xs)
+        if previous is not None and stabilized_at is None \
+                and keys == previous:
+            stabilized_at = beta - 1
+        previous = keys
+    return tuple(sorted(members.values(), key=_key)), stabilized_at
+
+
+def random_system(rng, p, n, m):
+    """x_1 against random terms in the other unknowns, and sometimes a
+    second random equation.  Coefficients have degree <= 2 and exponents
+    reach 3; a term may repeat an exponent vector or have a zero
+    coefficient."""
+    field = PrimeField(p)
+    width = n + m
+
+    def coeff():
+        return Poly([rng.randrange(p) for _ in range(rng.randint(1, 3))],
+                    field)
+
+    def exponents(free_of_x1):
+        return tuple(0 if free_of_x1 and i == 0 else rng.randint(0, 3)
+                     for i in range(width))
+
+    first = [((1,) + (0,) * (width - 1), Poly([1], field))]
+    first += [(exponents(True), coeff()) for _ in range(rng.randint(1, 3))]
+    polys = [tuple(first)]
+    if rng.random() < 0.4:
+        polys.append(tuple((exponents(False), coeff())
+                           for _ in range(rng.randint(1, 2))))
+    return DioSystem(field, n, m, tuple(polys))
+
+
+# (p, n, m, alpha, beta): at most 5^4 candidates each
+DIFFERENTIAL_SHAPES = [
+    (2, 1, 0, 3, 1), (2, 1, 1, 2, 2), (2, 1, 2, 1, 1), (2, 2, 0, 2, 1),
+    (2, 2, 1, 1, 2), (2, 2, 2, 1, 1), (3, 1, 0, 2, 1), (3, 1, 1, 1, 1),
+    (3, 1, 2, 1, 1), (3, 2, 1, 0, 1), (3, 2, 2, 0, 0), (3, 2, 0, 1, 1),
+    (5, 1, 0, 1, 2), (5, 1, 1, 1, 1), (5, 1, 1, 0, 2), (5, 1, 2, 0, 0),
+    (5, 2, 1, 0, 1), (5, 2, 0, 1, 1), (2, 1, 1, 3, 1), (3, 1, 1, 2, 0),
+]
+
+
+def assert_slice_matches_reference(system, alpha, beta):
+    result = enumerate_slice(system, alpha, beta)
+    solutions, projection, stabilized = reference_slice(system, alpha, beta)
+    assert result.solutions == solutions
+    assert result.projection == projection
+    assert result.stabilized == stabilized
+
+
+def test_slice_matches_per_candidate_reference(rng=random.Random(31337)):
+    for p, n, m, alpha, beta in DIFFERENTIAL_SHAPES:
+        for _ in range(3):
+            system = random_system(rng, p, n, m)
+            assert_slice_matches_reference(system, alpha, beta)
+
+
+def test_slice_union_matches_per_candidate_reference(
+        rng=random.Random(27182)):
+    for p, n, m, alpha, beta in DIFFERENTIAL_SHAPES:
+        if p ** ((alpha + 1) * n + (beta + 1) * m) > 128:
+            continue
+        system = random_system(rng, p, n, m)
+        union = slice_union(system, alpha, beta)
+        assert (union.members, union.stabilized_at) == \
+            reference_union(system, alpha, beta)
+
+
+def test_slice_edge_systems_match_reference():
+    f3 = PrimeField(3)
+    cases = [
+        # a nonzero constant-only equation: no solutions at all
+        (2, 1, 1, [[([1, 0], "1"), ([0, 2], "1")], [([0, 0], "z + 1")]]),
+        # a zero constant-only equation vanishes identically
+        (3, 1, 1, [[([1, 0], "1"), ([0, 3], "2*z^2 + 1")], [([0, 0], "0")]]),
+        # x = y^3 over F_3 with a repeated exponent vector
+        (3, 1, 1, [[([1, 0], "1"), ([0, 3], "1"), ([0, 3], "1")]]),
+        # two y-free equations: x1 = x2 and x1 * x2 = z * x1
+        (3, 2, 0, [[([1, 0], "1"), ([0, 1], "2")],
+                   [([1, 1], "1"), ([1, 0], "2*z")]]),
+    ]
+    for p, n, m, polys in cases:
+        field = PrimeField(p)
+        system = DioSystem(field, n, m, tuple(
+            tuple((tuple(e), P(c, field)) for e, c in poly)
+            for poly in polys))
+        for beta in range(3):
+            assert_slice_matches_reference(system, 1, beta)
+    # the y-free system has the diagonal x1 = x2 in {0, z} as solutions
+    assert [_key(xs) for xs in enumerate_slice(system, 1, 0).projection] \
+        == [((), ()), ((0, 1), (0, 1))]
+    assert enumerate_slice(system, 1, 0).solutions[1][0][0] == P("z", f3)
+
+
 def test_system_json_roundtrip():
     system = square_slice_system()
     assert DioSystem.from_json(system.to_json()) == system
@@ -117,6 +247,77 @@ def test_zero_set_examples():
     assert zero_set([]) == frozenset()
     with pytest.raises(ValueError):
         zero_set([P("z")])  # rationals are not enumerable
+
+
+def horner_zero_set(family, field):
+    return {a for a in field.elements() if any(not f(a) for f in family)}
+
+
+def random_family(rng, field):
+    """Products of linear factors with multiplicities, irreducible
+    quadratics and random polynomials."""
+    p = field.p
+    z = Poly.gen(field)
+    nonresidue = next((v for v in range(2, p)
+                       if pow(v, (p - 1) // 2, p) == p - 1), None)
+    quadratic = (z * z + z + Poly.one(field) if p == 2
+                 else z * z - Poly.constant(nonresidue, field))
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        f = Poly.constant(rng.randrange(1, p), field)
+        for _ in range(rng.randint(0, 3)):
+            f = f * (z - Poly.constant(rng.randrange(p), field)) \
+                ** rng.randint(1, 3)
+        if rng.random() < 0.5:
+            f = f * quadratic ** rng.randint(1, 2)
+        if rng.random() < 0.3:
+            f = f * Poly([rng.randrange(p) for _ in range(5)] + [1], field)
+        family.append(f)
+    return family
+
+
+def test_zero_set_matches_horner_evaluation(rng=random.Random(4242)):
+    for p in (2, 3, 5, 7, 11, 13, 31, 101, 197, 199):
+        field = PrimeField(p)
+        for _ in range(8):
+            family = random_family(rng, field)
+            assert zero_set(family) == horner_zero_set(family, field)
+        z = Poly.gen(field)
+        everything = set(field.elements())
+        assert zero_set([z, Poly.zero(field)]) == everything
+        assert zero_set([Poly.constant(1, field)]) == frozenset()
+        assert zero_set([(z - Poly.one(field)) ** 5]) == {field.one}
+        if p > 2:
+            assert zero_set([z ** p - z], field) == everything
+
+
+def test_zero_set_family_over_mixed_fields_raises():
+    f3 = PrimeField(3)
+    with pytest.raises(FieldMismatchError):
+        zero_set([P("z", F2), P("z", f3)])
+    with pytest.raises(FieldMismatchError):
+        zero_set([P("0", F2), P("z", f3)])
+    with pytest.raises(FieldMismatchError):
+        zero_set([P("z", f3)], F2)
+
+
+def test_zero_set_matches_sympy_at_large_p(rng=random.Random(777)):
+    sympy = pytest.importorskip("sympy")
+    p = 10 ** 9 + 7
+    field = PrimeField(p)
+    t = sympy.Symbol("z")
+    for _ in range(12):
+        (f,) = random_family(rng, field)[:1]
+        if f.degree < 1:
+            continue
+        oracle = sympy.Poly([c.v for c in reversed(f.coeffs)], t, modulus=p)
+        _, factors = oracle.factor_list()
+        expected = set()
+        for factor, _ in factors:
+            coeffs = [int(c) % p for c in factor.all_coeffs()]
+            if len(coeffs) == 2:
+                expected.add(-coeffs[1] * pow(coeffs[0], -1, p) % p)
+        assert {a.v for a in zero_set([f])} == expected
 
 
 # -- Hermite reduction ---------------------------------------------------------

@@ -30,6 +30,21 @@ def test_prime_validation():
         PrimeField(6)
 
 
+def test_prime_validation_at_the_miller_rabin_bound():
+    # psi_12: a strong pseudoprime to every prime base up to 37
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    with pytest.raises(ValueError):
+        PrimeField(psi_12)
+    largest = 3317044064679887385961813  # the last prime below psi_13
+    assert is_prime(largest) and PrimeField(largest).p == largest
+    # psi_13 passes all 13 bases; it and every prime beyond are refused
+    for p in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            PrimeField(p)
+
+
 def test_fp_arithmetic():
     f5 = PrimeField(5)
     a, b = f5.coerce(3), f5.coerce(4)
