@@ -407,7 +407,10 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
 
     The zero polynomial vanishes everywhere; nonzero constants nowhere.
     The field may be omitted when the family is nonempty.  Each f costs
-    O(d^2 log p) operations in F_p for d = deg f, not O(p).
+    O(d^2 log p) operations in F_p for d = deg f, not O(p).  A family
+    containing the zero polynomial has all p elements as its zero set;
+    for p above DEFAULT_CANDIDATE_BUDGET that raises BudgetError with
+    required = p instead of listing them.
     """
     polys = list(polys)
     if field is None:
@@ -418,9 +421,11 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
         raise ValueError("zero sets are computed over prime fields only")
     for f in polys:
         same_field(f.field, field)
-    if any(f.is_zero for f in polys):
-        return frozenset(field.elements())
     p = field.p
+    if any(f.is_zero for f in polys):
+        if p > DEFAULT_CANDIDATE_BUDGET:
+            raise BudgetError(p, DEFAULT_CANDIDATE_BUDGET)
+        return frozenset(field.elements())
     roots = set()
     for f in polys:
         roots.update(_distinct_roots([c.v for c in f.coeffs], p))

@@ -4,9 +4,19 @@ Coefficients are stored low degree first with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.  The variable is
 always called z.
 
-Polynomial gcds over Q run on integer coefficient lists with a primitive
-pseudo-remainder sequence, so intermediate coefficient blowup stays bounded;
-over F_p the plain Euclidean algorithm is used.  Squarefree decomposition is
+Over Q the coefficients are stored as `Fraction`s, but multiplication,
+division and gcds run on integer numerators over one common denominator.
+A product costs one big-int multiply: each operand is packed into a single
+int with one fixed-width slot per coefficient (Kronecker substitution),
+the two ints are multiplied, and the slots of the product are read back
+with borrows and divided by the product of the denominators.  Division is
+fraction-free pseudo-division: each step scales the remainder by
+lc / gcd(lc, top), which is 1 whenever the division is exact over Z (the
+divisor is made primitive first), so `Fraction`s are built only for the
+returned quotient and remainder.  Gcds over Q run a primitive
+pseudo-remainder sequence on the same integer numerators, so intermediate
+coefficient blowup stays bounded.  Over F_p the schoolbook loops and the
+plain Euclidean algorithm are used.  Squarefree decomposition is
 the derivative-gcd cascade (Yun); in characteristic p a nonzero part with
 vanishing derivative aborts with an explicit inseparable-part report.
 """
@@ -129,6 +139,8 @@ class Poly:
         self._same(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
+        if self.field.characteristic == 0:
+            return Poly(_q_mul(self.coeffs, other.coeffs), self.field)
         zero = self.field.zero
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -145,14 +157,17 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
+        if n == 0:
+            return Poly.one(self.field)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other: "Poly") -> Tuple["Poly", "Poly"]:
         self._same(other)
@@ -160,6 +175,9 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(self.field), self
+        if self.field.characteristic == 0:
+            quot, rem = _q_divmod(self.coeffs, other.coeffs)
+            return Poly(quot, self.field), Poly(rem, self.field)
         rem = list(self.coeffs)
         quot = [self.field.zero] * (self.degree - other.degree + 1)
         inv_lc = self.field.one / other.lc
@@ -242,9 +260,107 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return x.monic()
 
 
-def _int_coeffs(p: Poly) -> List[int]:
-    den = int_lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * den) for c in p.coeffs]
+# -- integer kernels over Q ------------------------------------------------
+
+
+def _int_numerators(cs) -> Tuple[List[int], int]:
+    """Integer numerators of Fraction coefficients over their least common
+    denominator, and that denominator."""
+    den = int_lcm(*(c.denominator for c in cs))
+    if den == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _pack(cs: List[int], width: int) -> int:
+    """sum(c_i * 2^(8 width i)): the positive and the negative coefficients
+    are laid out as fixed-width little-endian slots separately."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
+                   for c in cs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                   for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
+    """Product of two integer coefficient lists by one big-int multiply.
+
+    Every product coefficient is below 2^(bu + bv + bl) in absolute value
+    (bu, bv the largest coefficient sizes in bits, bl the size of the
+    shorter length), so slots of that many bits plus a sign bit hold them.
+    A slot read as an unsigned value plus the borrow from the slot below
+    is the coefficient itself when below half the slot range, and that
+    minus the range otherwise, with a borrow into the next slot.
+    """
+    bits = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length()
+            + min(len(u), len(v)).bit_length())
+    width = bits // 8 + 1
+    size = len(u) + len(v) - 1
+    data = (_pack(u, width) * _pack(v, width)).to_bytes(
+        width * size, "little", signed=True)
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    out = []
+    borrow = 0
+    for k in range(0, width * size, width):
+        c = int.from_bytes(data[k:k + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    return out
+
+
+def _q_mul(a, b) -> List[Fraction]:
+    """Coefficients of the product of two nonzero Fraction lists."""
+    u, du = _int_numerators(a)
+    v, dv = _int_numerators(b)
+    den = du * dv
+    return [Fraction(c, den) for c in _kronecker_mul(u, v)]
+
+
+def _pseudo_divmod(u: List[int], v: List[int]):
+    """Fraction-free division of integer lists, len(u) >= len(v) > 0.
+
+    Returns (qn, qd, r, d) with u = sum_k (qn_k / qd_k) z^k * v + r / d.
+    Each step removes the top coefficient s of the remainder after scaling
+    the remainder by m = lc(v) / gcd(lc(v), s), so the remainder grows
+    only when the step is not exact over Z, and d is the product of the
+    scalings so far.
+    """
+    r = list(u)
+    lv, dv = v[-1], len(v) - 1
+    low = v[:-1]
+    n = len(u) - dv
+    qn, qd = [0] * n, [1] * n
+    d = 1
+    for k in range(n - 1, -1, -1):
+        top = dv + k
+        s = r[top]
+        if not s:
+            continue
+        g = int_gcd(s, lv)
+        m, t = lv // g, s // g
+        if m != 1:
+            d *= m
+            r[:top] = [m * c for c in r[:top]]
+        qn[k], qd[k] = t, d
+        r[k:top] = [c - t * w for c, w in zip(r[k:top], low)]
+    return qn, qd, r[:dv], d
+
+
+def _q_divmod(a, b) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder coefficients of Fraction lists, b nonzero
+    and len(a) >= len(b)."""
+    u, du = _int_numerators(a)
+    v, dv = _int_numerators(b)
+    primitive = _int_primitive(v)
+    content = v[-1] // primitive[-1]
+    # a = u/du and b = (content/dv) primitive, so q = (dv / (du content))
+    # (qn/qd) and r = r/(du d).
+    qn, qd, r, d = _pseudo_divmod(u, primitive)
+    qden, rden = du * content, du * d
+    return ([Fraction(c * dv, e * qden) for c, e in zip(qn, qd)],
+            [Fraction(c, rden) for c in r])
 
 
 def _int_primitive(cs: List[int]) -> List[int]:
@@ -255,9 +371,11 @@ def _int_primitive(cs: List[int]) -> List[int]:
     g = 0
     for c in cs:
         g = int_gcd(g, c)
+        if g == 1:
+            break
     if cs[-1] < 0:
         g = -g
-    return [c // g for c in cs]
+    return cs if g == 1 else [c // g for c in cs]
 
 
 def _int_prem(u: List[int], v: List[int]) -> List[int]:
@@ -276,13 +394,13 @@ def _int_prem(u: List[int], v: List[int]) -> List[int]:
 
 
 def _rational_gcd(a: Poly, b: Poly) -> Poly:
-    u = _int_primitive(_int_coeffs(a))
-    v = _int_primitive(_int_coeffs(b))
+    u = _int_primitive(_int_numerators(a.coeffs)[0])
+    v = _int_primitive(_int_numerators(b.coeffs)[0])
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, _int_primitive(_int_prem(u, v))
-    return Poly([Fraction(c) for c in u], a.field).monic()
+    return Poly([Fraction(c, u[-1]) for c in u], a.field)
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:

@@ -138,6 +138,14 @@ def test_zero_set_command_at_large_p():
     assert report.outputs["roots"] == ["5", "77"]
 
 
+def test_zero_set_of_zero_above_the_budget_exits_1():
+    start = time.perf_counter()
+    report = dispatch(["zero-set", "--p", "2000003", "--poly", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] == 2000003
+
+
 def test_verify_commands_pass():
     report = dispatch(["verify-slicer"])
     assert report.ok and report.exit_code == 0

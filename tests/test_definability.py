@@ -2,15 +2,17 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from funcfield.definability import (BudgetError, DioSystem, enumerate_slice,
+from funcfield.definability import (DEFAULT_CANDIDATE_BUDGET, BudgetError,
+                                    DioSystem, enumerate_slice,
                                     frobenius_decompose, hermite_reduce,
                                     is_derivative, nonsquare_pair_check,
                                     slice_union, zero_set)
-from funcfield.fields import FieldMismatchError, PrimeField, QQ
+from funcfield.fields import FieldMismatchError, PrimeField, QQ, is_prime
 from funcfield.poly import Poly, poly_gcd
 from funcfield.ratfun import RatFun
 from funcfield.textio import parse_poly, parse_ratfun
@@ -289,6 +291,21 @@ def test_zero_set_matches_horner_evaluation(rng=random.Random(4242)):
         assert zero_set([(z - Poly.one(field)) ** 5]) == {field.one}
         if p > 2:
             assert zero_set([z ** p - z], field) == everything
+
+
+def test_zero_set_of_the_zero_polynomial_above_the_budget_refuses():
+    p = 2000003  # the least prime above the default candidate budget
+    assert p > DEFAULT_CANDIDATE_BUDGET
+    assert all(not is_prime(q) for q in range(DEFAULT_CANDIDATE_BUDGET + 1, p))
+    field = PrimeField(p)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        zero_set([Poly.gen(field), Poly.zero(field)])
+    assert time.perf_counter() - start < 1.0
+    assert info.value.required == p
+    assert info.value.budget == DEFAULT_CANDIDATE_BUDGET
+    # nonzero families at the same p are answered
+    assert zero_set([Poly.gen(field)]) == {field.zero}
 
 
 def test_zero_set_family_over_mixed_fields_raises():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from funcfield import elliptic
 from funcfield.divisors import Place
 from funcfield.elliptic import (Curve, ECPoint, FiberReport,
                                 NonMinimalModelError, NotRationalSurfaceError,
@@ -51,6 +52,36 @@ def test_off_curve_rejected():
         ec_add(CURVE, bad, P1)
     with pytest.raises(OffCurveError):
         ec_multiply(CURVE, 3, bad)
+
+
+def test_off_curve_rejected_at_every_entry_point():
+    bad = ECPoint.affine(R("1"), R("1"))
+    entry_points = [
+        lambda: ec_add(CURVE, P1, bad),
+        lambda: ec_multiply(CURVE, 2, bad),
+        lambda: naive_height(CURVE, bad),
+        lambda: canonical_height_estimate(CURVE, bad, 2),
+        lambda: degree_growth_report(CURVE, bad, 3),
+    ]
+    for call in entry_points:
+        with pytest.raises(OffCurveError):
+            call()
+
+
+def test_library_computed_points_are_not_checked_again(monkeypatch):
+    calls = []
+
+    def counting_on_curve(curve, point):
+        calls.append(point)
+        return on_curve(curve, point)
+
+    monkeypatch.setattr(elliptic, "on_curve", counting_on_curve)
+    assert canonical_height_estimate(CURVE, P1, 3) == Fraction(32, 64)
+    assert calls == [P1]
+    calls.clear()
+    assert [row[1] for row in degree_growth_report(CURVE, P1, 5)] \
+        == [0, 2, 4, 8, 12]
+    assert calls == [P1]
 
 
 # -- group law ---------------------------------------------------------------
