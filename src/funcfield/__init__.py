@@ -12,7 +12,7 @@ from .fields import (Field, FieldMismatchError, FpElement, PrimeField, QQ,
                      RationalField)
 from .poly import InseparablePartError, Poly, poly_gcd, radical, \
     squarefree_decomposition
-from .ratfun import INFINITY, RatFun, SquareResult, ratfun_arith
+from .ratfun import INFINITY, RatFun, SquareResult
 from .textio import ParseError, parse_point, parse_poly, parse_ratfun
 
 __version__ = "0.1.0"
@@ -21,6 +21,6 @@ __all__ = [
     "Field", "FieldMismatchError", "FpElement", "PrimeField", "QQ",
     "RationalField", "InseparablePartError", "Poly", "poly_gcd", "radical",
     "squarefree_decomposition", "INFINITY", "RatFun", "SquareResult",
-    "ratfun_arith", "ParseError", "parse_point", "parse_poly",
-    "parse_ratfun", "__version__",
+    "ParseError", "parse_point", "parse_poly", "parse_ratfun",
+    "__version__",
 ]

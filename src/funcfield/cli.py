@@ -422,8 +422,10 @@ def _run_command(args) -> Report:
 
 def dispatch(argv) -> Report:
     """Run one CLI invocation and return its report (never prints)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _dispatch(build_parser().parse_args(argv))
+
+
+def _dispatch(args) -> Report:
     start = time.perf_counter()
     try:
         report = _run_command(args)
@@ -447,7 +449,7 @@ def dispatch(argv) -> Report:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)  # SystemExit(2) on usage errors
-    report = dispatch(argv)
+    report = _dispatch(args)
     text = (report.to_json(args.stable) if args.json
             else report.to_text(args.stable))
     stream = sys.stderr if report.exit_code == 2 else sys.stdout

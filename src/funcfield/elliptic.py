@@ -184,16 +184,22 @@ def canonical_height_estimate(curve: Curve, point: ECPoint, k: int) -> Fraction:
 def degree_growth_report(
         curve: Curve, point: ECPoint, n_max: int,
 ) -> List[Tuple[int, int, Fraction]]:
-    """(n, deg(x_n), deg(x_n) / (n^2/2)) for n = 1..n_max, by double-and-add.
+    """(n, deg(x_n), deg(x_n) / (n^2/2)) for n = 1..n_max.
 
-    The point is checked once; its multiples, computed here, are not.
+    Each multiple is the sum of two earlier ones, nP = (n - n//2)P +
+    (n//2)P, so the report takes n_max group-law steps, each on points of
+    about a quarter of the result's degree; adding P to (n-1)P instead
+    works on points almost as large as the result and costs more.  The
+    point is checked once; its multiples, computed here, are not.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _require_on_curve(curve, point)
     rows = []
+    multiples = {0: ECPoint.identity(), 1: point}
     for n in range(1, n_max + 1):
-        multiple = _multiply(curve, n, point)
+        multiple = multiples[n] = _add(curve, multiples[n - n // 2],
+                                       multiples[n // 2])
         if multiple.is_identity:
             raise TorsionPointError(f"{n} * {point} is the identity")
         degree = multiple.x.map_degree()

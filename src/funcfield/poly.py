@@ -13,9 +13,13 @@ with borrows and divided by the product of the denominators.  Division is
 fraction-free pseudo-division: each step scales the remainder by
 lc / gcd(lc, top), which is 1 whenever the division is exact over Z (the
 divisor is made primitive first), so `Fraction`s are built only for the
-returned quotient and remainder.  Gcds over Q run a primitive
-pseudo-remainder sequence on the same integer numerators, so intermediate
-coefficient blowup stays bounded.  Over F_p the schoolbook loops and the
+returned quotient and remainder.  Gcds over Q run on the primitive
+integer numerators: constant operands give 1, a linear operand is tested
+by evaluation at its root, and everything else goes to the heuristic gcd
+(GCDHEU): evaluate both at a power of two, take the integer gcd, read it
+back as a polynomial and keep it if it divides both inputs exactly.  A
+primitive pseudo-remainder sequence answers when the heuristic gives up
+after a few evaluation points.  Over F_p the schoolbook loops and the
 plain Euclidean algorithm are used.  Squarefree decomposition is
 the derivative-gcd cascade (Yun); in characteristic p a nonzero part with
 vanishing derivative aborts with an explicit inseparable-part report.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import isqrt
 from math import lcm as int_lcm
 from typing import Iterable, List, Tuple
 
@@ -252,6 +257,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    if a.degree == 0 or b.degree == 0:
+        return Poly.one(a.field)
     if a.field.characteristic == 0:
         return _rational_gcd(a, b)
     x, y = a, b
@@ -289,25 +296,51 @@ def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
     Every product coefficient is below 2^(bu + bv + bl) in absolute value
     (bu, bv the largest coefficient sizes in bits, bl the size of the
     shorter length), so slots of that many bits plus a sign bit hold them.
-    A slot read as an unsigned value plus the borrow from the slot below
-    is the coefficient itself when below half the slot range, and that
-    minus the range otherwise, with a borrow into the next slot.
     """
     bits = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length()
             + min(len(u), len(v)).bit_length())
     width = bits // 8 + 1
-    size = len(u) + len(v) - 1
-    data = (_pack(u, width) * _pack(v, width)).to_bytes(
-        width * size, "little", signed=True)
+    return _unpack(_pack(u, width) * _pack(v, width), width)
+
+
+def _unpack(n: int, width: int) -> List[int]:
+    """The integer list h without trailing zeros with h(2^(8 width)) = n
+    and every coefficient in [-2^(8 width - 1), 2^(8 width - 1)).
+
+    A slot of n in two's complement, read as an unsigned value plus the
+    borrow from the slot below, is the coefficient itself when below half
+    the slot range, and that minus the range otherwise, with a borrow into
+    the next slot.  The top slot holds only sign bits, so no borrow is
+    left over.
+    """
+    size = width * (n.bit_length() // (8 * width) + 2)
+    data = n.to_bytes(size, "little", signed=True)
     half = 1 << (8 * width - 1)
     full = half << 1
     out = []
     borrow = 0
-    for k in range(0, width * size, width):
+    for k in range(0, size, width):
         c = int.from_bytes(data[k:k + width], "little") + borrow
         borrow = c >= half
         out.append(c - full if borrow else c)
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _evaluate(cs: List[int], shift: int) -> int:
+    """sum(c_i 2^(shift i)).  Horner's rule with shifts moves O(n^2 shift)
+    bits for n coefficients; halving the list moves O(n log(n) shift), so
+    lists longer than 16 are halved."""
+    n = len(cs)
+    if n > 16:
+        m = n // 2
+        return _evaluate(cs[:m], shift) + (_evaluate(cs[m:], shift)
+                                           << (shift * m))
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << shift) + c
+    return acc
 
 
 def _q_mul(a, b) -> List[Fraction]:
@@ -378,6 +411,96 @@ def _int_primitive(cs: List[int]) -> List[int]:
     return cs if g == 1 else [c // g for c in cs]
 
 
+def _rational_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of nonconstant polynomials over Q, from the gcd over Z
+    of their primitive integer numerators."""
+    u = _int_primitive(_int_numerators(a.coeffs)[0])
+    v = _int_primitive(_int_numerators(b.coeffs)[0])
+    if len(u) < len(v):
+        u, v = v, u
+    if len(v) == 2:
+        h = v if _divides(v, u) else [1]
+    else:
+        h = _heu_gcd(u, v) or _prs_gcd(u, v)
+    return Poly([Fraction(c, h[-1]) for c in h], a.field)
+
+
+def _divides(v: List[int], u: List[int]) -> bool:
+    """Whether the primitive v with lc(v) > 0 divides u over Z.  A linear
+    v = v1 z + v0 does iff u vanishes at -v0/v1, tested as
+    v1^deg(u) u(-v0/v1) = 0 by homogeneous Horner."""
+    if len(v) != 2:
+        return _exact_quotient(u, v) is not None
+    v0, v1 = v
+    acc, power = u[-1], 1
+    for c in reversed(u[:-1]):
+        power *= v1
+        acc = acc * -v0 + c * power
+    return not acc
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(u: List[int], v: List[int]):
+    """Heuristic gcd (GCDHEU) of primitive integer lists with positive
+    leading coefficients, or None when every evaluation point fails.
+
+    Both inputs are evaluated at xi = 2^(8 width), and the integer gcd g of
+    the two values is read back as a polynomial h with coefficients in
+    [-xi/2, xi/2).  The primitive part of h is the gcd whenever it divides
+    both inputs exactly: xi exceeds twice the Cauchy root bound
+    1 + max|c| / |lc| of one input, so a nonconstant k with h k = gcd(u, v)
+    would give |k(xi)| > xi / 2, while k(xi) divides the content of h,
+    which is at most xi / 2.  Failing that, the cofactors u(xi)/g and
+    v(xi)/g are read back the same way, and the quotient of the input by
+    its cofactor is tried.  The first xi is the power of two at or above
+    the choice of Liao and Fateman (1995), and xi grows to about xi^(5/4)
+    between tries, as in sympy's `dup_zz_heu_gcd` (Char, Geddes and
+    Gonnet 1989).
+    """
+    nu, nv = max(map(abs, u)), max(map(abs, v))
+    bound = 2 * min(nu, nv) + 29
+    xi = max(min(bound, 99 * isqrt(bound)),
+             2 * min(nu // u[-1], nv // v[-1]) + 4)
+    width = (xi.bit_length() + 7) // 8
+    # gcd(u, v) = z^m w, where w(0) divides the gcd of the lowest nonzero
+    # coefficients of u and v; w(xi) = w(0) mod xi then has as many
+    # factors 2 as w(0), at most twos, while twos < log2(xi).
+    ou = next(i for i, c in enumerate(u) if c)
+    ov = next(i for i, c in enumerate(v) if c)
+    m = min(ou, ov)
+    low = int_gcd(u[ou], v[ov])
+    twos = (low & -low).bit_length() - 1
+    for _ in range(_HEU_TRIES):
+        shift = 8 * width
+        eu, ev = _evaluate(u, shift), _evaluate(v, shift)
+        g = int_gcd(eu, ev)
+        if twos < shift:
+            # The cofactor values at a power of two often share many
+            # factors 2; keep only those gcd(u, v)(xi) can have.
+            g >>= max(0, (g & -g).bit_length() - 1 - m * shift - twos)
+        h = _int_primitive(_unpack(g, width))
+        if len(h) == 1 or (_divides(h, u) and _divides(h, v)):
+            return h
+        for w, other, ew in ((u, v, eu), (v, u, ev)):
+            cofactor = _int_primitive(_unpack(ew // g, width))
+            h = _exact_quotient(w, cofactor)
+            if h is not None and _divides(h, other):
+                return h
+        width += width // 4 + 1
+    return None
+
+
+def _exact_quotient(u: List[int], v: List[int]):
+    """u / v for lc(v) > 0, or None when v does not divide u in Z[z]."""
+    if len(v) > len(u) or u[-1] % v[-1] \
+            or (u[0] % v[0] if v[0] else u[0]):
+        return None
+    qn, _, r, d = _pseudo_divmod(u, v)
+    return qn if d == 1 and not any(r) else None
+
+
 def _int_prem(u: List[int], v: List[int]) -> List[int]:
     """Pseudo-remainder of integer coefficient lists (up to content)."""
     r = list(u)
@@ -393,14 +516,11 @@ def _int_prem(u: List[int], v: List[int]) -> List[int]:
     return r
 
 
-def _rational_gcd(a: Poly, b: Poly) -> Poly:
-    u = _int_primitive(_int_numerators(a.coeffs)[0])
-    v = _int_primitive(_int_numerators(b.coeffs)[0])
-    if len(u) < len(v):
-        u, v = v, u
+def _prs_gcd(u: List[int], v: List[int]) -> List[int]:
+    """Primitive pseudo-remainder sequence gcd, len(u) >= len(v) > 0."""
     while v:
         u, v = v, _int_primitive(_int_prem(u, v))
-    return Poly([Fraction(c, u[-1]) for c in u], a.field)
+    return u
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:

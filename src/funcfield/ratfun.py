@@ -319,15 +319,3 @@ def _root_multiplicity(p: Poly, a) -> int:
         count += 1
     return count
 
-
-def ratfun_arith(op: str, f: RatFun, g: RatFun) -> RatFun:
-    """Named dispatch over the four field operations."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown operation {op!r}")

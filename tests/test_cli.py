@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from funcfield import cli
 from funcfield.cli import dispatch, main
 from funcfield.textio import parse_ratfun
 
@@ -185,6 +186,22 @@ def test_main_prints_and_returns_exit_code(capsys):
     capsys.readouterr()
     assert main(["deg", "--f", "q"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build = cli.build_parser
+    calls = []
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert main(["--json", "deg", "--f", "z^2/(z-1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["degree"] == 2
+    assert len(calls) == 1
+    assert dispatch(["deg", "--f", "z"]).outputs["degree"] == 1
+    assert len(calls) == 2
 
 
 def test_usage_error_exits_2():

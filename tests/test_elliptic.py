@@ -171,6 +171,36 @@ def test_degree_growth_small():
     assert naive_height(CURVE, via_doubling) == n4_degree
 
 
+def test_degree_growth_rows_match_per_n_multiples(monkeypatch):
+    rng = random.Random(4407)
+    # a member of the family y^2 = x^3 + A x + B with A = alpha z + beta
+    # through the constant point (c, d)
+    alpha, beta = rng.choice((1, -1)), rng.randint(-1, 1)
+    c, d = rng.choice((1, -1)), rng.choice((1, 2))
+    a = R(f"{alpha}*z + {beta}")
+    family = Curve(a, R(f"{d * d - c ** 3}") - a * c)
+    point = ECPoint.affine(R(str(c)), R(str(d)))
+    add = elliptic._add
+    steps = []
+
+    def counting_add(curve, p, q):
+        steps.append(1)
+        return add(curve, p, q)
+
+    for curve, base, n_max in ((CURVE, P1, 10), (family, point, 8)):
+        expected = []
+        for n in range(1, n_max + 1):
+            degree = elliptic._multiply(curve, n, base).x.map_degree()
+            expected.append((n, degree, Fraction(2 * degree, n * n)))
+        assert [row[1] for row in expected] \
+            == [n * n // 2 for n in range(1, n_max + 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "_add", counting_add)
+            steps.clear()
+            assert degree_growth_report(curve, base, n_max) == expected
+        assert len(steps) == n_max
+
+
 def test_degree_growth_torsion_detected():
     curve = Curve(RatFun.zero(QQ), RatFun.one(QQ))
     two_torsion = ECPoint.affine(R("-1"), R("0"))

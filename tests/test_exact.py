@@ -8,7 +8,7 @@ import pytest
 from funcfield.fields import FieldMismatchError, PrimeField, QQ, is_prime
 from funcfield.poly import (InseparablePartError, Poly, poly_gcd, radical,
                             squarefree_decomposition)
-from funcfield.ratfun import INFINITY, RatFun, ratfun_arith
+from funcfield.ratfun import INFINITY, RatFun
 from funcfield.textio import ParseError, parse_poly, parse_point, parse_ratfun
 
 
@@ -202,15 +202,13 @@ def test_squarefree_char_p_separable_cases():
 
 
 def test_arith_examples():
-    assert ratfun_arith("add", R("1/z"), R("-1/z")).is_zero
-    assert ratfun_arith("mul", R("z/(z-1)"), R("(z-1)/z")) == RatFun.one(QQ)
-    assert ratfun_arith("add", R("1/z^2"), R("z^2")) == R("(z^4 + 1)/z^2")
-    assert ratfun_arith("sub", R("z"), R("1")) == R("z - 1")
-    assert ratfun_arith("div", R("z^2 - 1"), R("z + 1")) == R("z - 1")
+    assert (R("1/z") + R("-1/z")).is_zero
+    assert R("z/(z-1)") * R("(z-1)/z") == RatFun.one(QQ)
+    assert R("1/z^2") + R("z^2") == R("(z^4 + 1)/z^2")
+    assert R("z") - R("1") == R("z - 1")
+    assert R("z^2 - 1") / R("z + 1") == R("z - 1")
     with pytest.raises(ZeroDivisionError):
-        ratfun_arith("div", R("z"), RatFun.zero(QQ))
-    with pytest.raises(ValueError):
-        ratfun_arith("pow", R("z"), R("z"))
+        R("z") / RatFun.zero(QQ)
 
 
 def test_canonical_form_idempotent():

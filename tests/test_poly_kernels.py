@@ -1,7 +1,9 @@
-"""Integer kernels of Q[z] multiply and divide against schoolbook references.
+"""Integer kernels of Q[z] multiply, divide and gcd against references.
 
 `schoolbook_mul` and `schoolbook_divmod` are the per-coefficient Fraction
 loops the Q kernels replaced; the kernels must agree with them exactly.
+The heuristic gcd is checked against the primitive PRS route it falls back
+on, and against sympy where it is installed.
 """
 
 import random
@@ -9,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from funcfield import poly
 from funcfield.fields import PrimeField, QQ
-from funcfield.poly import Poly
+from funcfield.poly import Poly, poly_gcd
 
 F5 = PrimeField(5)
 
@@ -182,3 +185,140 @@ def test_q_kernels_match_sympy_at_degree_512(rng=random.Random(4404)):
     q_ref, r_ref = sympy.div(to_sympy(list(dividend.coeffs)), to_sympy(b))
     assert quot.coeffs == from_sympy(q_ref) == tuple(a)
     assert rem.coeffs == from_sympy(r_ref) == stripped(r)
+
+
+# -- gcd over Q -----------------------------------------------------------
+
+Z = Poly.gen(QQ)
+
+
+def gcd_pair(rng, dg, d1, d2, bits):
+    """f * c1 and f * c2 for random f, c1, c2 of degrees dg, d1, d2, each
+    multiplied by a power of z a third of the time."""
+    f = Poly(random_poly(rng, dg, bits), QQ)
+    a = f * Poly(random_poly(rng, d1, bits), QQ)
+    b = f * Poly(random_poly(rng, d2, bits), QQ)
+    if rng.random() < 0.3:
+        a = a * Z ** rng.randint(1, 3)
+    if rng.random() < 0.3:
+        b = b * Z ** rng.randint(1, 3)
+    return a, b
+
+
+def gcd_pairs(rng, common_degrees, bit_sizes):
+    cofactor_degrees = ((0, 3), (1, 1), (3, 10), (12, 12), (30, 5))
+    for dg in common_degrees:
+        for d1, d2 in cofactor_degrees:
+            for bits in bit_sizes:
+                yield gcd_pair(rng, dg, d1, d2, bits)
+
+
+def monic_of(cs):
+    return Poly([c / cs[-1] for c in cs], QQ)
+
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """Counts the calls of the PRS fallback."""
+    calls = []
+    prs = poly._prs_gcd
+
+    def counting(u, v):
+        calls.append(len(u))
+        return prs(u, v)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counting)
+    return calls
+
+
+def prs_route(a, b, monkeypatch):
+    """poly_gcd with the heuristic reporting failure on every input."""
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_heu_gcd", lambda u, v: None)
+        return poly_gcd(a, b)
+
+
+def test_gcd_matches_prs_route(monkeypatch, prs_calls,
+                               rng=random.Random(4405)):
+    for a, b in gcd_pairs(rng, (0, 1, 2, 7, 20), (1, 8, 64, 200)):
+        g = poly_gcd(a, b)
+        assert not prs_calls  # the heuristic answered on its own
+        assert g == prs_route(a, b, monkeypatch) == poly_gcd(b, a)
+        assert g.lc == 1 and (a % g).is_zero and (b % g).is_zero
+        prs_calls.clear()
+
+
+def test_gcd_matches_sympy(prs_calls, rng=random.Random(4406)):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], z, domain=sympy.QQ)
+
+    for a, b in gcd_pairs(rng, (0, 1, 3, 25, 60), (1, 64, 300, 700)):
+        ref = sympy.gcd(to_sympy(a), to_sympy(b)).all_coeffs()
+        expected = monic_of([Fraction(int(c.p), int(c.q))
+                             for c in reversed(ref)])
+        assert poly_gcd(a, b) == expected
+    assert not prs_calls
+
+
+def P(cs):
+    return Poly(cs, QQ)
+
+
+def test_gcd_edge_cases(monkeypatch, prs_calls):
+    big = 2 ** 700 + 1
+    f = P([Fraction(-3, 7), 0, big, Fraction(-5, 2)])  # fractional lc < 0
+    f_monic = monic_of(f.coeffs)
+    coprime = P([1, 1, 1]), P([1, 0, 0, 1, 1])
+    cases = [
+        # (a, b, gcd)
+        (P([5]), f, P([1])),
+        (f, P([Fraction(-2, 3)]), P([1])),
+        (P([-3, 6]), P([1, -2]) * f, P([Fraction(-1, 2), 1])),
+        (P([1, 2]), P([1, 3]), P([1])),
+        (P([big, -big]), P([-1, 1]) * P([7, 0, 1]), P([-1, 1])),
+        (f, f, f_monic),
+        (f.scale(Fraction(-6, 35)), f.scale(big), f_monic),
+        (f, f * f * P([1, 1]), f_monic),
+        (f ** 3 * coprime[0], f ** 2 * coprime[1], monic_of((f * f).coeffs)),
+        (coprime[0], coprime[1], P([1])),
+        (Z ** 5 * f, Z ** 2 * P([2 ** 200, 0, 1]), Z ** 2),
+        (P([2 ** 162, 1]) * Z ** 3, P([0, 2 ** 36, 2 ** 40, 1]), Z),
+        (Poly.zero(QQ), f, f_monic),
+        (Poly.zero(QQ), Poly.zero(QQ), Poly.zero(QQ)),
+    ]
+    for a, b, expected in cases:
+        assert poly_gcd(a, b) == poly_gcd(b, a) == expected
+        if a.degree > 1 and b.degree > 1:
+            assert prs_route(a, b, monkeypatch) == expected
+    assert len(prs_calls) == sum(1 for a, b, _ in cases
+                                 if a.degree > 1 and b.degree > 1)
+
+
+def test_gcd_fallback_returns_prs_result(monkeypatch, prs_calls):
+    f = P([Fraction(1, 3), -2, 0, 5, Fraction(-7, 4)])
+    a, b = f * P([2, 0, 0, 1]), f * P([-3, 0, 1])  # cofactors coprime
+    tries = []
+
+    def failing(u, v):
+        tries.append((u, v))
+        return None
+
+    monkeypatch.setattr(poly, "_heu_gcd", failing)
+    assert poly_gcd(a, b) == monic_of(f.coeffs)
+    assert len(tries) == 1 and prs_calls == [len(tries[0][0])]
+
+
+def test_gcd_heuristic_retries_with_a_larger_point(monkeypatch, prs_calls):
+    # At the first point the integer gcd carries an extra factor of the
+    # cofactor values, and no candidate divides; the second point answers.
+    f = P([1, 5, 8])
+    a, b = f * P([2, 0, -2, -4, 4]), f * P([-7, 9, 0, 7, 8])
+    assert poly_gcd(a, b) == monic_of(f.coeffs)
+    assert not prs_calls
+    monkeypatch.setattr(poly, "_HEU_TRIES", 1)
+    assert poly_gcd(a, b) == monic_of(f.coeffs)
+    assert len(prs_calls) == 1
