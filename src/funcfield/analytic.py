@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import factorial
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 
 def cw_rational(i: int) -> Fraction:
@@ -95,6 +96,16 @@ def square_index(a) -> int:
     return cw_index(abs(a)) + 1
 
 
+def _terms() -> Iterator[Tuple[int, Fraction, int]]:
+    """(n, q_n, A_n) for n = 1, 2, ..., with A_n from the running product
+    of the q_i + 1."""
+    product = Fraction(1)
+    for n in count(1):
+        qn = q_n(n)
+        product *= qn + 1
+        yield n, qn, 1 + -((-product.numerator) // product.denominator)
+
+
 def a_bound(n: int) -> int:
     """A_n = 1 + ceil(prod_{i<=n} (q_i + 1)).
 
@@ -104,10 +115,7 @@ def a_bound(n: int) -> int:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    product = Fraction(1)
-    for i in range(1, n + 1):
-        product *= q_n(i) + 1
-    return 1 + -((-product.numerator) // product.denominator)
+    return next(islice(_terms(), n - 1, None))[2]
 
 
 def eval_exact(a) -> Fraction:
@@ -122,12 +130,8 @@ def eval_exact(a) -> Fraction:
     a2 = a * a
     total = Fraction(0)
     product = Fraction(1)
-    bound_product = Fraction(1)
-    for n in range(1, m):
-        qn = q_n(n)
+    for n, qn, a_n in islice(_terms(), m - 1):
         product *= qn - a2
-        bound_product *= qn + 1
-        a_n = 1 + -((-bound_product.numerator) // bound_product.denominator)
         total += product / (factorial(2 * n) * a_n)
     return total
 
@@ -208,12 +212,8 @@ def eval_interval(lo, hi, n_terms: int) -> RatInterval:
     x2 = x.square()
     partial = RatInterval.point(0)
     product = RatInterval.point(1)
-    bound_product = Fraction(1)
-    for n in range(1, n_terms + 1):
-        qn = q_n(n)
+    for n, qn, a_n in islice(_terms(), n_terms):
         product = product * RatInterval(qn - x2.hi, qn - x2.lo)
-        bound_product *= qn + 1
-        a_n = 1 + -((-bound_product.numerator) // bound_product.denominator)
         partial = partial + product.scale(Fraction(1, factorial(2 * n) * a_n))
     m = max(abs(x.lo), abs(x.hi))
     return partial.widen(_tail_bound(m, n_terms + 1))
@@ -250,9 +250,7 @@ def series_of_g(cutoff: int) -> TruncatedSeries:
     # coefficients in the variable t^2
     acc = [Fraction(0)] * (half + 1)
     product = [Fraction(1)]
-    bound_product = Fraction(1)
-    for n in range(1, half + _SERIES_BUFFER + 1):
-        qn = q_n(n)
+    for n, qn, a_n in islice(_terms(), half + _SERIES_BUFFER):
         updated = [Fraction(0)] * min(len(product) + 1, half + 1)
         for j, c in enumerate(product):
             if j < len(updated):
@@ -260,8 +258,6 @@ def series_of_g(cutoff: int) -> TruncatedSeries:
             if j + 1 < len(updated):
                 updated[j + 1] += c
         product = updated
-        bound_product *= qn + 1
-        a_n = 1 + -((-bound_product.numerator) // bound_product.denominator)
         scale = Fraction(1, factorial(2 * n) * a_n)
         for j, c in enumerate(product):
             acc[j] += c * scale

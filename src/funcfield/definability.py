@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FpElement, PrimeField, same_field
-from .poly import Poly, poly_gcd
+from .poly import (Poly, _add, _divmod, _gcd, _mul, _powmod, _trim,
+                   poly_gcd)
 from .ratfun import RatFun
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
@@ -111,85 +112,8 @@ class DioSystem:
         return values
 
 
-def _poly_key(p: Poly) -> Tuple[int, ...]:
-    return tuple(c.v for c in p.coeffs)
-
-
 def _tuple_key(polys: Tuple[Poly, ...]):
-    return tuple(_poly_key(p) for p in polys)
-
-
-# -- F_p[z] on int lists -------------------------------------------------
-#
-# The slicer and zero sets run on coefficient lists of ints in [0, p), low
-# degree first, with no trailing zeros ([] is the zero polynomial).  Poly
-# and FpElement objects are built only for the values returned.
-
-
-def _trim(cs: List[int]) -> List[int]:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
-
-
-def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    # p is prime, so the product of two leading coefficients is nonzero
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b, i):
-                out[j] += c * d
-    return [c % p for c in out]
-
-
-def _divmod(a: Sequence[int], b: Sequence[int], p: int,
-            ) -> Tuple[List[int], List[int]]:
-    """Quotient and remainder; b must be nonzero."""
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    inv, low = pow(b[-1], -1, p), b[:db]
-    quot = [0] * (len(rem) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[db + k] * inv % p
-        quot[k] = c
-        if c:
-            for i, d in enumerate(low, k):
-                rem[i] = (rem[i] - c * d) % p
-    return quot, _trim(rem[:db])
-
-
-def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Monic gcd; a must be nonzero."""
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
-    """a^e mod m by square-and-multiply; deg m >= 1."""
-    result = [1]
-    a = _divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _divmod(_mul(result, a, p), m, p)[1]
-        e >>= 1
-        if e:
-            a = _divmod(_mul(a, a, p), m, p)[1]
-    return result
+    return tuple(p._ints for p in polys)
 
 
 def _monomials(values: Sequence[Sequence[int]],
@@ -273,7 +197,7 @@ def enumerate_slice(system: DioSystem, alpha: int, beta: int,
         groups: Dict[Tuple[int, ...], list] = {}
         for exponents, coeff in poly:
             groups.setdefault(exponents[n:], []).append(
-                (exponents[:n], [c.v for c in coeff.coeffs]))
+                (exponents[:n], coeff._ints))
         equations.append(groups)
     x_exps = sorted({a for groups in equations
                      for terms in groups.values() for a, _ in terms})
@@ -428,7 +352,7 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
         return frozenset(field.elements())
     roots = set()
     for f in polys:
-        roots.update(_distinct_roots([c.v for c in f.coeffs], p))
+        roots.update(_distinct_roots(f._ints, p))
     return frozenset(FpElement(r, p) for r in roots)
 
 

@@ -60,7 +60,10 @@ class FpElement:
 
     The canonical representative is the integer in [0, p).  Mixed-int
     arithmetic coerces the int mod p; mixing different moduli raises
-    FieldMismatchError.
+    FieldMismatchError.  An element hashes as its canonical representative,
+    so it shares its hash with the int it equals in [0, p); an int outside
+    that range, such as 6 in F_5, compares equal by residue but does not
+    share the hash.
     """
 
     __slots__ = ("v", "p")
@@ -138,7 +141,7 @@ class FpElement:
                 and self.p == other.p and self.v == other.v)
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -202,11 +205,7 @@ class PrimeField:
                 f"which primality is proven")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
+        self.p = self.characteristic = p
 
     @property
     def zero(self) -> FpElement:

@@ -1,39 +1,35 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over Q and over the prime fields F_p.
 
-Coefficients are stored low degree first with no trailing zeros; the zero
-polynomial has an empty coefficient tuple and degree -1.  The variable is
-always called z.
+A polynomial is a tuple of ints, low degree first with no trailing zeros,
+over one denominator.  Over Q it is sum(c_i z^i) / d with d > 0 and
+gcd(d, c_0, c_1, ...) = 1, so every value has one stored form (zero is
+the empty tuple over 1) and equality and hashing compare ints.  Over F_p
+the ints are residues in [0, p) over 1.  `Fraction` and `FpElement` values
+are built only at the edge: `Poly(coeffs, field)` validates and converts
+its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
+build them on the way out.  The variable is always called z.
 
-Over Q the coefficients are stored as `Fraction`s, but multiplication,
-division and gcds run on integer numerators over one common denominator.
-A product costs one big-int multiply: each operand is packed into a single
-int with one fixed-width slot per coefficient (Kronecker substitution),
-the two ints are multiplied, and the slots of the product are read back
-with borrows and divided by the product of the denominators.  Division is
-fraction-free pseudo-division: each step scales the remainder by
-lc / gcd(lc, top), which is 1 whenever the division is exact over Z (the
-divisor is made primitive first), so `Fraction`s are built only for the
-returned quotient and remainder.  Gcds over Q run on the primitive
-integer numerators: constant operands give 1, a linear operand is tested
-by evaluation at its root, and everything else goes to the heuristic gcd
-(GCDHEU): evaluate both at a power of two, take the integer gcd, read it
-back as a polynomial and keep it if it divides both inputs exactly.  A
-primitive pseudo-remainder sequence answers when the heuristic gives up
-after a few evaluation points.  Over F_p the schoolbook loops and the
-plain Euclidean algorithm are used.  Squarefree decomposition is
-the derivative-gcd cascade (Yun); in characteristic p a nonzero part with
-vanishing derivative aborts with an explicit inseparable-part report.
+Over Q, products are one big-int multiply (Kronecker substitution),
+division is fraction-free pseudo-division, and gcds run the heuristic gcd
+(GCDHEU) on the primitive numerators with a primitive pseudo-remainder
+sequence as fallback; README states the cost model.  Over F_p the
+schoolbook loops and the Euclidean algorithm below run on the residues,
+and the slicer and zero sets in `definability` use the same kernels.
+Squarefree decomposition is the derivative-gcd cascade (Yun); in
+characteristic p a nonzero part with vanishing derivative aborts with an
+explicit inseparable-part report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd
 from math import isqrt
 from math import lcm as int_lcm
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .fields import Field, same_field
+from .fields import Field, FpElement, same_field
 
 
 class InseparablePartError(ArithmeticError):
@@ -54,13 +50,20 @@ class InseparablePartError(ArithmeticError):
 class Poly:
     """Immutable dense polynomial over a fixed exact field."""
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("_ints", "_den", "field")
 
     def __init__(self, coeffs: Iterable, field: Field):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: Tuple = tuple(cs)
+        if field.characteristic:
+            ints, den = [c.v for c in cs], 1
+        else:
+            # canonical already: each prime power of the lcm is all of some
+            # reduced denominator, and that numerator stays prime to it
+            den = int_lcm(*(c.denominator for c in cs))
+            ints = [c.numerator * (den // c.denominator) for c in cs]
+        _trim(ints)
+        self._ints: Tuple[int, ...] = tuple(ints)
+        self._den = den if ints else 1
         self.field = field
 
     # -- constructors -------------------------------------------------
@@ -85,37 +88,47 @@ class Poly:
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple:
+        """The coefficients as field elements, low degree first."""
+        return tuple(map(self.coefficient, range(len(self._ints))))
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def lc(self):
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else self.field.zero
+        return self.coefficient(len(self._ints) - 1)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._ints) <= 1
+
+    @property
+    def is_monic(self) -> bool:
+        """Whether the leading coefficient is 1 (never for zero)."""
+        return bool(self._ints) and self._ints[-1] == self._den
 
     def coefficient(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        ints, p = self._ints, self.field.characteristic
+        c = ints[i] if 0 <= i < len(ints) else 0
+        return FpElement(c, p) if p else Fraction(c, self._den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, Poly) and self._ints == other._ints
+                and self._den == other._den and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field))
+        return hash((self._ints, self._den, self.field))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -126,44 +139,49 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out, self.field)
+        a, b, field = self._ints, other._ints, self.field
+        p = field.characteristic
+        if p:
+            return _poly(_add(a, b, p), 1, field)
+        d = int_lcm(self._den, other._den)
+        sa, sb = d // self._den, d // other._den
+        return _q_poly(_trim([x * sa + y * sb for x, y in
+                              zip_longest(a, b, fillvalue=0)]), d, field)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], self.field)
+        p = self.field.characteristic
+        if p:
+            return _poly([-c % p for c in self._ints], 1, self.field)
+        return _poly([-c for c in self._ints], self._den, self.field)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        if self.field.characteristic == 0:
-            return Poly(_q_mul(self.coeffs, other.coeffs), self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.field)
+        a, b, field = self._ints, other._ints, self.field
+        if not a or not b:
+            return _poly((), 1, field)
+        p = field.characteristic
+        if p:
+            return _poly(_mul(a, b, p), 1, field)
+        return _q_poly(_kronecker_mul(a, b), self._den * other._den, field)
 
     def scale(self, c) -> "Poly":
-        c = self.field.coerce(c)
-        return Poly([c * a for a in self.coeffs], self.field)
+        field, p = self.field, self.field.characteristic
+        c = field.coerce(c)
+        if not c:
+            return _poly((), 1, field)
+        if p:
+            return _poly([c.v * a % p for a in self._ints], 1, field)
+        return _q_poly([c.numerator * a for a in self._ints],
+                       self._den * c.denominator, field)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
         if n == 0:
-            return Poly.one(self.field)
+            return _poly((1,), 1, self.field)
         result = None
         base = self
         while True:
@@ -176,23 +194,25 @@ class Poly:
 
     def __divmod__(self, other: "Poly") -> Tuple["Poly", "Poly"]:
         self._same(other)
-        if other.is_zero:
+        a, b, field = self._ints, other._ints, self.field
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(self.field), self
-        if self.field.characteristic == 0:
-            quot, rem = _q_divmod(self.coeffs, other.coeffs)
-            return Poly(quot, self.field), Poly(rem, self.field)
-        rem = list(self.coeffs)
-        quot = [self.field.zero] * (self.degree - other.degree + 1)
-        inv_lc = self.field.one / other.lc
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[other.degree + k] * inv_lc
-            quot[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[i + k] = rem[i + k] - c * b
-        return Poly(quot, self.field), Poly(rem[:other.degree], self.field)
+        if len(a) < len(b):
+            return _poly((), 1, field), self
+        p = field.characteristic
+        if p:
+            quot, rem = _divmod(a, b, p)
+            return _poly(quot, 1, field), _poly(rem, 1, field)
+        w = _int_primitive(list(b))
+        content = b[-1] // w[-1]
+        qn, qd, rem, d = _pseudo_divmod(a, w)
+        # With a = u / da, b = content w / db and every qd_k dividing d:
+        # a = (sum_k qn_k (d / qd_k) z^k) db / (d da content) b
+        #     + rem / (d da).
+        quot = [c * (other._den * d // e) for c, e in zip(qn, qd)]
+        d *= self._den
+        return (_q_poly(quot, d * content, field),
+                _q_poly(_trim(rem), d, field))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -200,35 +220,41 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def __call__(self, a):
         """Horner evaluation at a field element."""
         a = self.field.coerce(a)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        ints, p = self._ints, self.field.characteristic
+        if p:
+            acc = 0
+            for c in reversed(ints):
+                acc = (acc * a.v + c) % p
+            return FpElement(acc, p)
+        if not ints:
+            return Fraction(0)
+        acc, power = _homogeneous(ints, a.numerator, a.denominator)
+        return Fraction(acc, self._den * power)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.field)
+        ints = [i * c for i, c in enumerate(self._ints)][1:]
+        p = self.field.characteristic
+        if p:
+            return _poly(_trim([c % p for c in ints]), 1, self.field)
+        return _q_poly(ints, self._den, self.field)
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.lc == self.field.one:
+        if self.is_zero or self.is_monic:
             return self
-        return self.scale(self.field.one / self.lc)
+        return self.scale(1 / self.lc)
 
     # -- printing -----------------------------------------------------
 
     def __str__(self):
         if self.is_zero:
             return "0"
+        cs = self.coeffs
         parts: List[str] = []
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = cs[d]
             if not c:
                 continue
             negative = isinstance(c, Fraction) and c < 0
@@ -237,7 +263,7 @@ class Poly:
                 body = str(mag)
             else:
                 zpow = "z" if d == 1 else f"z^{d}"
-                body = zpow if mag == self.field.one else f"{mag}*{zpow}"
+                body = zpow if mag == 1 else f"{mag}*{zpow}"
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:
@@ -246,6 +272,27 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _poly(ints: Sequence[int], den: int, field: Field) -> Poly:
+    """A Poly from ints and den already in the stored form."""
+    obj = object.__new__(Poly)
+    obj._ints = tuple(ints)
+    obj._den = den
+    obj.field = field
+    return obj
+
+
+def _q_poly(ints: List[int], den: int, field: Field) -> Poly:
+    """sum(ints_i z^i) / den over Q in canonical form; ints without
+    trailing zeros, den nonzero."""
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    if den != 1:
+        g = int_gcd(den, *ints)
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
+    return _poly(ints, den, field)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -258,25 +305,87 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
-        return Poly.one(a.field)
-    if a.field.characteristic == 0:
-        return _rational_gcd(a, b)
-    x, y = a, b
-    while not y.is_zero:
-        x, y = y, x % y
-    return x.monic()
+        return _poly((1,), 1, a.field)
+    p = a.field.characteristic
+    if p:
+        return _poly(_gcd(a._ints, b._ints, p), 1, a.field)
+    return _rational_gcd(a._ints, b._ints, a.field)
+
+
+# -- F_p[z] on int lists ---------------------------------------------------
+#
+# Coefficient lists of ints in [0, p), low degree first, with no trailing
+# zeros ([] is the zero polynomial).  They are the F_p arithmetic of Poly,
+# and the slicer and zero sets in `definability` run on them directly.
+
+
+def _trim(cs: List[int]) -> List[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    # p is prime, so the product of two leading coefficients is nonzero
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return [c % p for c in out]
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int,
+            ) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder; b must be nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv, low = pow(b[-1], -1, p), b[:db]
+    quot = [0] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[db + k] * inv % p
+        quot[k] = c
+        if c:
+            for i, d in enumerate(low, k):
+                rem[i] = (rem[i] - c * d) % p
+    return quot, _trim(rem[:db])
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """Monic gcd; a must be nonzero."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
+    """a^e mod m by square-and-multiply; deg m >= 1."""
+    result = [1]
+    a = _divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, a, p), m, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod(_mul(a, a, p), m, p)[1]
+    return result
 
 
 # -- integer kernels over Q ------------------------------------------------
-
-
-def _int_numerators(cs) -> Tuple[List[int], int]:
-    """Integer numerators of Fraction coefficients over their least common
-    denominator, and that denominator."""
-    den = int_lcm(*(c.denominator for c in cs))
-    if den == 1:
-        return [c.numerator for c in cs], 1
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _pack(cs: List[int], width: int) -> int:
@@ -343,14 +452,6 @@ def _evaluate(cs: List[int], shift: int) -> int:
     return acc
 
 
-def _q_mul(a, b) -> List[Fraction]:
-    """Coefficients of the product of two nonzero Fraction lists."""
-    u, du = _int_numerators(a)
-    v, dv = _int_numerators(b)
-    den = du * dv
-    return [Fraction(c, den) for c in _kronecker_mul(u, v)]
-
-
 def _pseudo_divmod(u: List[int], v: List[int]):
     """Fraction-free division of integer lists, len(u) >= len(v) > 0.
 
@@ -381,21 +482,6 @@ def _pseudo_divmod(u: List[int], v: List[int]):
     return qn, qd, r[:dv], d
 
 
-def _q_divmod(a, b) -> Tuple[List[Fraction], List[Fraction]]:
-    """Quotient and remainder coefficients of Fraction lists, b nonzero
-    and len(a) >= len(b)."""
-    u, du = _int_numerators(a)
-    v, dv = _int_numerators(b)
-    primitive = _int_primitive(v)
-    content = v[-1] // primitive[-1]
-    # a = u/du and b = (content/dv) primitive, so q = (dv / (du content))
-    # (qn/qd) and r = r/(du d).
-    qn, qd, r, d = _pseudo_divmod(u, primitive)
-    qden, rden = du * content, du * d
-    return ([Fraction(c * dv, e * qden) for c, e in zip(qn, qd)],
-            [Fraction(c, rden) for c in r])
-
-
 def _int_primitive(cs: List[int]) -> List[int]:
     while cs and cs[-1] == 0:
         cs.pop()
@@ -411,18 +497,17 @@ def _int_primitive(cs: List[int]) -> List[int]:
     return cs if g == 1 else [c // g for c in cs]
 
 
-def _rational_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of nonconstant polynomials over Q, from the gcd over Z
-    of their primitive integer numerators."""
-    u = _int_primitive(_int_numerators(a.coeffs)[0])
-    v = _int_primitive(_int_numerators(b.coeffs)[0])
+def _rational_gcd(u: Sequence[int], v: Sequence[int], field: Field) -> Poly:
+    """Monic gcd of nonconstant polynomials over Q with numerators u and v,
+    from the gcd over Z of their primitive parts."""
+    u, v = _int_primitive(list(u)), _int_primitive(list(v))
     if len(u) < len(v):
         u, v = v, u
     if len(v) == 2:
         h = v if _divides(v, u) else [1]
     else:
         h = _heu_gcd(u, v) or _prs_gcd(u, v)
-    return Poly([Fraction(c, h[-1]) for c in h], a.field)
+    return _poly(h, h[-1], field)
 
 
 def _divides(v: List[int], u: List[int]) -> bool:
@@ -431,12 +516,16 @@ def _divides(v: List[int], u: List[int]) -> bool:
     v1^deg(u) u(-v0/v1) = 0 by homogeneous Horner."""
     if len(v) != 2:
         return _exact_quotient(u, v) is not None
-    v0, v1 = v
+    return not _homogeneous(u, -v[0], v[1])[0]
+
+
+def _homogeneous(u: Sequence[int], n: int, m: int) -> Tuple[int, int]:
+    """m^deg(u) u(n/m) and m^deg(u), for u nonzero (homogeneous Horner)."""
     acc, power = u[-1], 1
     for c in reversed(u[:-1]):
-        power *= v1
-        acc = acc * -v0 + c * power
-    return not acc
+        power *= m
+        acc = acc * n + c * power
+    return acc, power
 
 
 _HEU_TRIES = 6
@@ -501,25 +590,11 @@ def _exact_quotient(u: List[int], v: List[int]):
     return qn if d == 1 and not any(r) else None
 
 
-def _int_prem(u: List[int], v: List[int]) -> List[int]:
-    """Pseudo-remainder of integer coefficient lists (up to content)."""
-    r = list(u)
-    dv, lv = len(v) - 1, v[-1]
-    while r and len(r) - 1 >= dv:
-        s = r[-1]
-        r = [lv * c for c in r]
-        shift = len(r) - 1 - dv
-        for i, cv in enumerate(v):
-            r[shift + i] -= s * cv
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
 def _prs_gcd(u: List[int], v: List[int]) -> List[int]:
-    """Primitive pseudo-remainder sequence gcd, len(u) >= len(v) > 0."""
+    """Primitive pseudo-remainder sequence gcd of primitive integer lists
+    with positive leading coefficients, len(u) >= len(v) > 0."""
     while v:
-        u, v = v, _int_primitive(_int_prem(u, v))
+        u, v = v, _int_primitive(_pseudo_divmod(u, v)[2])
     return u
 
 

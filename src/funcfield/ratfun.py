@@ -50,7 +50,7 @@ class RatFun:
         g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
-        if den.lc != den.field.one:
+        if not den.is_monic:
             inv = den.field.one / den.lc
             num, den = num.scale(inv), den.monic()
         self.num = num
@@ -64,7 +64,7 @@ class RatFun:
             obj.num = num
             obj.den = Poly.one(num.field)
             return obj
-        if den.lc != den.field.one:
+        if not den.is_monic:
             inv = den.field.one / den.lc
             num, den = num.scale(inv), den.monic()
         obj.num = num

@@ -57,6 +57,18 @@ def test_fp_arithmetic():
         a + PrimeField(7).coerce(1)
 
 
+def test_fp_hash_agrees_with_equality_to_canonical_ints():
+    f5 = PrimeField(5)
+    one = f5.coerce(1)
+    assert one == 1 and hash(one) == hash(1)
+    assert len({1, one}) == 1 and len({one, f5.coerce(6)}) == 1
+    assert {one: "element"}[1] == "element"
+    assert {1: "int"}[one] == "int"
+    assert {f5.coerce(v) for v in range(10)} == set(range(5))
+    # a non-canonical int equals its residue but does not share its hash
+    assert one == 6 and 6 not in {one}
+
+
 def test_fp_sqrt():
     f13 = PrimeField(13)
     root = f13.sqrt(f13.coerce(4))

@@ -1,27 +1,30 @@
-"""Integer kernels of Q[z] multiply, divide and gcd against references.
+"""Integer kernels of Q[z] and F_p[z] against per-coefficient references.
 
-`schoolbook_mul` and `schoolbook_divmod` are the per-coefficient Fraction
-loops the Q kernels replaced; the kernels must agree with them exactly.
-The heuristic gcd is checked against the primitive PRS route it falls back
-on, and against sympy where it is installed.
+`schoolbook_mul`, `schoolbook_divmod` and `euclid_gcd` are the loops over
+`Fraction` and `FpElement` coefficients that the integer kernels replaced;
+the kernels must agree with them exactly.  The heuristic gcd is checked
+against the primitive PRS route it falls back on, and against sympy where
+it is installed.  Q polynomials are stored in one canonical form, so equal
+values built by different routes must compare and hash equal.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from funcfield import poly
-from funcfield.fields import PrimeField, QQ
+from funcfield.fields import FieldMismatchError, FpElement, PrimeField, QQ
 from funcfield.poly import Poly, poly_gcd
 
 F5 = PrimeField(5)
 
 
-def schoolbook_mul(a, b):
+def schoolbook_mul(a, b, zero=Fraction(0)):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -30,11 +33,11 @@ def schoolbook_mul(a, b):
     return out
 
 
-def schoolbook_divmod(a, b):
+def schoolbook_divmod(a, b, zero=Fraction(0)):
     if len(a) < len(b):
         return [], list(a)
     rem = list(a)
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    quot = [zero] * (len(a) - len(b) + 1)
     inv_lc = 1 / b[-1]
     for k in range(len(quot) - 1, -1, -1):
         c = rem[len(b) - 1 + k] * inv_lc
@@ -322,3 +325,140 @@ def test_gcd_heuristic_retries_with_a_larger_point(monkeypatch, prs_calls):
     monkeypatch.setattr(poly, "_HEU_TRIES", 1)
     assert poly_gcd(a, b) == monic_of(f.coeffs)
     assert len(prs_calls) == 1
+
+
+# -- F_p[z] against FpElement loops -----------------------------------------
+
+FP_FIELDS = [PrimeField(p) for p in (2, 3, 5, 97, 10 ** 9 + 7)]
+FP_DEGREES = (-1, 0, 0, 1, 2, 5, 13, 30)
+
+
+def euclid_gcd(a, b, field):
+    """Monic gcd of FpElement lists by the Euclidean algorithm."""
+    a, b = stripped(a), stripped(b)
+    while b:
+        a, b = b, stripped(schoolbook_divmod(a, b, field.zero)[1])
+    return tuple(c / a[-1] for c in a)
+
+
+def horner(cs, x, field):
+    acc = field.zero
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def random_fp(rng, field, degree):
+    """FpElement coefficients of the given degree (-1: zero polynomial)."""
+    p = field.p
+    if degree < 0:
+        return []
+    cs = [field.coerce(rng.randrange(p)) for _ in range(degree)]
+    return cs + [field.coerce(rng.randrange(1, p))]
+
+
+@pytest.mark.parametrize("field", FP_FIELDS, ids=lambda f: f"F{f.p}")
+def test_fp_arithmetic_matches_fpelement_loops(field, rng=random.Random(4407)):
+    zero = field.zero
+    for da in FP_DEGREES:
+        for db in FP_DEGREES:
+            a, b = random_fp(rng, field, da), random_fp(rng, field, db)
+            pa, pb = Poly(a, field), Poly(b, field)
+            assert (pa * pb).coeffs == stripped(schoolbook_mul(a, b, zero))
+            if b:
+                quot, rem = divmod(pa, pb)
+                q_ref, r_ref = schoolbook_divmod(a, b, zero)
+                assert quot.coeffs == stripped(q_ref)
+                assert rem.coeffs == stripped(r_ref)
+            if a or b:
+                assert poly_gcd(pa, pb).coeffs == euclid_gcd(a, b, field)
+            total = [x + y for x, y in zip(a + [zero] * len(b),
+                                           b + [zero] * len(a))]
+            assert (pa + pb).coeffs == stripped(total)
+            assert (pa - pb) + pb == pa and (-pa).coeffs == \
+                stripped(-c for c in a)
+
+
+@pytest.mark.parametrize("field", FP_FIELDS, ids=lambda f: f"F{f.p}")
+def test_fp_pow_derivative_and_evaluation_match_fpelement_loops(
+        field, rng=random.Random(4408)):
+    points = [field.coerce(rng.randrange(field.p)) for _ in range(4)]
+    points += [field.zero, field.one]
+    for degree in FP_DEGREES:
+        a = random_fp(rng, field, degree)
+        f = Poly(a, field)
+        power = [field.one]
+        for n in range(6):
+            assert (f ** n).coeffs == stripped(power)
+            power = schoolbook_mul(power, a, field.zero)
+        derivative = [i * c for i, c in enumerate(a)][1:]
+        assert f.derivative().coeffs == stripped(derivative)
+        for x in points:
+            assert f(x) == horner(a, x, field)
+            assert isinstance(f(x), FpElement)
+        assert f.monic().coeffs == (euclid_gcd(a, [], field) if a else ())
+
+
+def test_fp_coefficients_are_canonical_residues():
+    f = Poly([-1, 7, FpElement(3, 5), 0, 10], F5)  # 10 = 0 in F_5
+    assert f.coeffs == (4, 2, 3) and f.degree == 2
+    assert all(isinstance(c, FpElement) and 0 <= c.v < 5 for c in f.coeffs)
+    assert f.lc == 3 and f.coefficient(7) == 0 and f.coefficient(-1) == 0
+    assert f == Poly([4, 2, 3], F5) and hash(f) == hash(Poly([4, 2, 3], F5))
+    with pytest.raises(FieldMismatchError):
+        Poly([FpElement(1, 3)], F5)
+
+
+# -- Q canonical form -------------------------------------------------------
+
+
+def assert_canonical(f):
+    """Stored ints without trailing zeros over d > 0 with no common factor."""
+    ints, den = f._ints, f._den
+    assert den > 0 and gcd(den, *ints) == 1
+    assert not ints or ints[-1]
+    assert den == 1 or ints
+
+
+def test_q_equal_values_from_different_routes_compare_and_hash_equal(
+        rng=random.Random(4409)):
+    half = Poly([Fraction(1, 2), 1], QQ)
+    routes = [
+        (half, Poly([1, 2], QQ).scale(Fraction(1, 2))),
+        (half, Poly([3, 6], QQ).scale(Fraction(1, 6))),
+        (Poly([3, -6], QQ).monic(), Poly([Fraction(-1, 2), 1], QQ)),
+        (Poly([Fraction(2, 3), Fraction(-4, 9)], QQ).monic(),
+         Poly([Fraction(-3, 2), 1], QQ)),
+        (Poly([0, 0], QQ), Poly.zero(QQ)),
+        (half - half, Poly.zero(QQ)),
+        (Poly([Fraction(4, 2)], QQ), Poly.constant(2, QQ)),
+    ]
+    for _ in range(20):
+        a = Poly(random_poly(rng, rng.randint(0, 8), 40), QQ)
+        b = Poly(random_poly(rng, rng.randint(0, 8), 40), QQ)
+        routes.append(((a * b) // b, a))
+        routes.append(((a + b) - b, a))
+        routes.append((a.scale(Fraction(-3, 7)).scale(Fraction(-7, 3)), a))
+        routes.append((divmod(a * b + a, b)[1], a % b))
+        routes.append((a.derivative(), Poly([i * c for i, c in
+                                             enumerate(a.coeffs)][1:], QQ)))
+    for left, right in routes:
+        assert_canonical(left)
+        assert_canonical(right)
+        assert left == right and hash(left) == hash(right)
+        assert len({left, right}) == 1
+
+
+def test_q_coefficients_are_fractions_as_given():
+    f = Poly([Fraction(1, 2), 0, Fraction(-3, 4), 5, 0], QQ)
+    assert f.coeffs == (Fraction(1, 2), Fraction(0), Fraction(-3, 4),
+                        Fraction(5))
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert f.lc == 5 and type(f.lc) is Fraction
+    assert f.coefficient(2) == Fraction(-3, 4) and f.coefficient(9) == 0
+    assert Poly.zero(QQ).coeffs == () and Poly.zero(QQ).lc == 0
+    assert f(Fraction(-2, 3)) == Fraction(1, 2) - Fraction(1, 3) - Fraction(40, 27)
+    assert str(f) == "5*z^3 - 3/4*z^2 + 1/2"
+    for bad in ("1", 0.5, FpElement(1, 5)):
+        with pytest.raises(TypeError):
+            Poly([bad], QQ)
