@@ -29,6 +29,9 @@ from itertools import count, islice
 from math import factorial
 from typing import Iterator, List, Tuple
 
+from .fields import QQ
+from .poly import Poly
+
 
 def cw_rational(i: int) -> Fraction:
     """The i-th positive rational in Calkin-Wilf (heap) order, i >= 1."""
@@ -247,23 +250,16 @@ def series_of_g(cutoff: int) -> TruncatedSeries:
     if cutoff < 2 or cutoff % 2:
         raise ValueError("cutoff must be an even integer >= 2")
     half = cutoff // 2
-    # coefficients in the variable t^2
-    acc = [Fraction(0)] * (half + 1)
-    product = [Fraction(1)]
+    # polynomials in the variable t^2, summed untruncated: the degrees past
+    # half never feed the coefficients below it
+    acc = Poly.zero(QQ)
+    product = Poly.one(QQ)
     for n, qn, a_n in islice(_terms(), half + _SERIES_BUFFER):
-        updated = [Fraction(0)] * min(len(product) + 1, half + 1)
-        for j, c in enumerate(product):
-            if j < len(updated):
-                updated[j] += qn * c
-            if j + 1 < len(updated):
-                updated[j + 1] += c
-        product = updated
-        scale = Fraction(1, factorial(2 * n) * a_n)
-        for j, c in enumerate(product):
-            acc[j] += c * scale
+        product = product * Poly((qn, 1), QQ)
+        acc = acc + product.scale(Fraction(1, factorial(2 * n) * a_n))
     coefficients = [Fraction(0)] * (cutoff + 1)
-    for j, c in enumerate(acc):
-        coefficients[2 * j] = c
+    for j in range(half + 1):
+        coefficients[2 * j] = acc.coefficient(j)
     return TruncatedSeries(tuple(coefficients), cutoff)
 
 

@@ -17,18 +17,21 @@ import sys
 import time
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from . import analytic
-from .definability import (BudgetError, DioSystem, enumerate_slice,
-                           frobenius_decompose, hermite_reduce, is_derivative,
-                           slice_union, zero_set)
+from .definability import (DEFAULT_CANDIDATE_BUDGET, BudgetError, DioSystem,
+                           enumerate_slice, frobenius_decompose,
+                           hermite_reduce, is_derivative, slice_union,
+                           zero_set)
 from .divisors import (campana_member, divisor_to_json, geometric_degree,
                        pn_member, pole_divisor, veps_member)
-from .elliptic import (Curve, ECPoint, bad_fibers, canonical_height_estimate,
-                       degree_growth_report, delta_degree_total, ec_multiply,
-                       mordell_weil_lattice, naive_height, shioda_tate_rank)
-from .fields import PrimeField
+from .elliptic import (Curve, ECPoint, _naive_height, bad_fibers,
+                       canonical_height_estimate, degree_growth_report,
+                       delta_degree_total, ec_multiply, mordell_weil_lattice,
+                       shioda_tate_rank)
+from .fields import QQ, Field, PrimeField
+from .ratfun import RatFun
 from .textio import (ParseError, parse_point, parse_poly, parse_ratfun,
                      parse_rational)
 from .verify import ALL_SUITES
@@ -77,29 +80,10 @@ def _render_value(prefix: str, value) -> list:
     return [f"{prefix.rstrip('.')}: {value}"]
 
 
-def _curve_from_args(args) -> Curve:
-    a = parse_ratfun(args.A)
-    b = parse_ratfun(args.B)
-    return Curve(a, b)
-
-
-def _point_from_args(args, curve: Curve) -> ECPoint:
-    x = parse_ratfun(args.x, curve.field)
-    y = parse_ratfun(args.y, curve.field)
-    return ECPoint.affine(x, y)
-
-
 def _point_json(point: ECPoint) -> dict:
     if point.is_identity:
         return {"identity": True}
     return {"x": str(point.x), "y": str(point.y)}
-
-
-def _add_curve_options(sub) -> None:
-    sub.add_argument("--A", default="z", help="curve coefficient A (default z)")
-    sub.add_argument("--B", default="1", help="curve coefficient B (default 1)")
-    sub.add_argument("--x", default="0", help="base point x (default 0)")
-    sub.add_argument("--y", default="1", help="base point y (default 1)")
 
 
 def _parse_ell(text: str):
@@ -116,16 +100,289 @@ def _load_system(source: str) -> DioSystem:
     return DioSystem.from_json(json.loads(text))
 
 
-class _Subcommands:
-    """Registers subparsers that all share the --json/--stable flags."""
+# -- the command table --------------------------------------------------------
+# `_command` declares a subcommand once, on its handler: name, help, arguments.
+# A handler fills `inputs` with the canonical inputs from the parsed `args`
+# and returns the outputs, or (outputs, ok) for a verification suite.
 
-    def __init__(self, parser: argparse.ArgumentParser,
-                 common: argparse.ArgumentParser):
-        self._sub = parser.add_subparsers(dest="command", required=True)
-        self._common = common
 
-    def add_parser(self, name: str, **kwargs):
-        return self._sub.add_parser(name, parents=[self._common], **kwargs)
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    arguments: tuple
+    run: Callable
+
+
+_COMMANDS: Dict[str, _Command] = {}
+
+
+def _command(name: str, help_text: str, *arguments):
+    def register(run):
+        _COMMANDS[name] = _Command(help_text, arguments, run)
+        return run
+    return register
+
+
+def _arg(*flags, **options):
+    """One add_argument call: its flags and keyword options."""
+    return flags, options
+
+
+_F = _arg("--f", required=True)
+_G = _arg("--g", required=True)
+_N = _arg("--n", type=int, required=True)
+_P = _arg("--p", type=int, required=True)
+_N_MAX = _arg("--n-max", type=int, default=8, dest="n_max")
+_CURVE = (_arg("--A", default="z", help="curve coefficient A (default z)"),
+          _arg("--B", default="1", help="curve coefficient B (default 1)"),
+          _arg("--x", default="0", help="base point x (default 0)"),
+          _arg("--y", default="1", help="base point y (default 1)"))
+
+
+def _parsed(args, inputs: dict, key: str = "f", field: Field = QQ) -> RatFun:
+    """Parse the --f or --g text and echo its canonical form as an input."""
+    value = parse_ratfun(getattr(args, key), field)
+    inputs[key] = str(value)
+    return value
+
+
+def _curve(args, inputs: dict) -> Curve:
+    curve = Curve(parse_ratfun(args.A), parse_ratfun(args.B))
+    inputs["curve"] = str(curve)
+    return curve
+
+
+def _curve_and_point(args, inputs: dict) -> Tuple[Curve, ECPoint]:
+    curve = _curve(args, inputs)
+    x = parse_ratfun(args.x, curve.field)
+    y = parse_ratfun(args.y, curve.field)
+    return curve, ECPoint.affine(x, y)
+
+
+@_command("deg", "degree as a map P^1 -> P^1", _F)
+def _deg(args, inputs):
+    return {"degree": _parsed(args, inputs).map_degree()}
+
+
+@_command("deg-star", "deg num - deg den (= -v_inf)", _F)
+def _deg_star(args, inputs):
+    return {"deg_star": _parsed(args, inputs).deg_star()}
+
+
+@_command("val", "valuation at a point or at inf", _F,
+          _arg("--at", required=True))
+def _val(args, inputs):
+    f = _parsed(args, inputs)
+    point = parse_point(args.at)
+    inputs["at"] = str(point)
+    return {"valuation": f.valuation_at(point)}
+
+
+@_command("poles", "divisor of poles", _F)
+def _poles(args, inputs):
+    divisor = pole_divisor(_parsed(args, inputs))
+    return {"divisor": divisor_to_json(divisor),
+            "geometric_degree": geometric_degree(divisor)}
+
+
+@_command("pn", "at most n geometric poles?", _F, _N)
+def _pn(args, inputs):
+    inputs["n"] = args.n
+    return {"member": pn_member(_parsed(args, inputs), args.n)}
+
+
+@_command("veps", "deg den <= (1-eps) deg num?", _F,
+          _arg("--eps", required=True))
+def _veps(args, inputs):
+    f = _parsed(args, inputs)
+    eps = parse_rational(args.eps)
+    inputs["eps"] = str(eps)
+    return {"member": veps_member(f, eps)}
+
+
+@_command("campana", "poles outside S all of multiplicity >= l?", _F,
+          _arg("--S", default="", help="comma-separated points, e.g. inf,1"),
+          _arg("--l", required=True, help="integer >= 1 or inf"))
+def _campana(args, inputs):
+    f = _parsed(args, inputs)
+    points = [parse_point(token)
+              for token in args.S.split(",") if token.strip()]
+    ell = _parse_ell(args.l)
+    inputs["S"] = ",".join(str(p) for p in points)
+    inputs["l"] = "inf" if ell == inf else str(ell)
+    return {"member": campana_member(f, points, ell)}
+
+
+@_command("is-square", "square test with optional witness", _F,
+          _arg("--semantics", choices=("geometric", "base-field"),
+               default="geometric"))
+def _is_square(args, inputs):
+    inputs["semantics"] = args.semantics
+    result = _parsed(args, inputs).is_square(args.semantics)
+    outputs = {"square": result.ok}
+    if result.witness is not None:
+        outputs["witness"] = str(result.witness)
+    return outputs
+
+
+@_command("is-derivative", "is g the derivative of a rational function?", _G)
+def _is_derivative(args, inputs):
+    flag, certificate = is_derivative(_parsed(args, inputs, "g"))
+    outputs = {"derivative": flag}
+    if certificate is not None:
+        outputs["antiderivative"] = str(certificate)
+    return outputs
+
+
+@_command("hermite", "g = h' + remainder decomposition", _G)
+def _hermite(args, inputs):
+    h, remainder = hermite_reduce(_parsed(args, inputs, "g"))
+    return {"h": str(h), "remainder": str(remainder)}
+
+
+@_command("frobenius", "decompose f = sum z^j f_j^p over F_p(z)", _F, _P)
+def _frobenius(args, inputs):
+    inputs["p"] = args.p
+    f = _parsed(args, inputs, field=PrimeField(args.p))
+    decomposition = frobenius_decompose(f)
+    return {"components": [str(c) for c in decomposition.components],
+            "in_d": decomposition.in_d}
+
+
+@_command("ec-multiply", "n-th multiple of the base point", *_CURVE, _N)
+def _ec_multiply(args, inputs):
+    curve, point = _curve_and_point(args, inputs)
+    inputs["n"] = args.n
+    return {"point": _point_json(ec_multiply(curve, args.n, point))}
+
+
+@_command("ec-height", "naive height of the n-th multiple", *_CURVE, _N)
+def _ec_height(args, inputs):
+    curve, point = _curve_and_point(args, inputs)
+    inputs["n"] = args.n
+    # ec_multiply checks P; the multiple it returns is on the curve
+    return {"height": _naive_height(ec_multiply(curve, args.n, point))}
+
+
+@_command("ec-hhat", "canonical height estimate h(2^k P)/4^k", *_CURVE,
+          _arg("--k", type=int, required=True))
+def _ec_hhat(args, inputs):
+    curve, point = _curve_and_point(args, inputs)
+    inputs["k"] = args.k
+    return {"estimate": str(canonical_height_estimate(curve, point, args.k))}
+
+
+@_command("ec-fibers", "bad fibers with Kodaira types", *_CURVE)
+def _ec_fibers(args, inputs):
+    fibers = bad_fibers(_curve(args, inputs))
+    return {"fibers": [fiber.to_json() for fiber in fibers],
+            "delta_degree_total": delta_degree_total(fibers)}
+
+
+@_command("ec-rank", "Shioda-Tate rank count", *_CURVE)
+def _ec_rank(args, inputs):
+    fibers = bad_fibers(_curve(args, inputs))
+    outputs = {"rank": shioda_tate_rank(fibers)}
+    lattice = mordell_weil_lattice(fibers)
+    if lattice is not None:
+        outputs["lattice"] = {"name": lattice.name, "rank": lattice.rank,
+                              "minimal_norm": str(lattice.minimal_norm)}
+    return outputs
+
+
+@_command("ec-growth", "degree growth of x-coordinates", *_CURVE, _N_MAX)
+def _ec_growth(args, inputs):
+    curve, point = _curve_and_point(args, inputs)
+    inputs["n_max"] = args.n_max
+    rows = degree_growth_report(curve, point, args.n_max)
+    return {"growth": [{"n": n, "degree": degree, "ratio": str(ratio)}
+                       for n, degree, ratio in rows]}
+
+
+@_command("eval-f",
+          "evaluate the transcendental function exactly or on an interval",
+          _arg("--a", help="exact rational argument"),
+          _arg("--lo", help="interval lower endpoint"),
+          _arg("--hi", help="interval upper endpoint"),
+          _arg("--N", type=int, default=6,
+               help="explicit terms for interval mode"))
+def _eval_f(args, inputs):
+    if args.a is not None:
+        a = parse_rational(args.a)
+        inputs["a"] = str(a)
+        return {"value": str(analytic.eval_exact(a))}
+    if args.lo is None or args.hi is None:
+        raise ParseError("eval-f needs --a or both --lo and --hi", 0)
+    lo, hi = parse_rational(args.lo), parse_rational(args.hi)
+    inputs["lo"], inputs["hi"], inputs["N"] = str(lo), str(hi), args.N
+    enclosure = analytic.eval_interval(lo, hi, args.N)
+    return {"lo": str(enclosure.lo), "hi": str(enclosure.hi)}
+
+
+@_command("series-g", "truncated even series of g(t) = f(it)",
+          _arg("--N", type=int, required=True))
+def _series_g(args, inputs):
+    inputs["N"] = args.N
+    series = analytic.series_of_g(args.N)
+    return {"cutoff": series.cutoff,
+            "coefficients": [str(c) for c in series.coefficients]}
+
+
+@_command("graph-points", "first points (a, f(a)) of the fixed enumeration",
+          _arg("--count", type=int, required=True))
+def _graph_points(args, inputs):
+    inputs["count"] = args.count
+    return {"points": [[str(a), str(value)]
+                       for a, value in analytic.graph_points(args.count)]}
+
+
+@_command("slice", "enumerate a Diophantine slice over F_p",
+          _arg("--system", required=True,
+               help="JSON file (or inline JSON) describing the system"),
+          _arg("--alpha", type=int, required=True),
+          _arg("--beta", type=int),
+          _arg("--beta-max", type=int, dest="beta_max"),
+          _arg("--max-candidates", type=int, dest="max_candidates",
+               default=DEFAULT_CANDIDATE_BUDGET))
+def _slice(args, inputs):
+    system = _load_system(args.system)
+    inputs["p"], inputs["alpha"] = system.field.p, args.alpha
+    if args.beta_max is not None:
+        inputs["beta_max"] = args.beta_max
+        union = slice_union(system, args.alpha, args.beta_max,
+                            args.max_candidates)
+        return {"members": [[str(p) for p in xs] for xs in union.members],
+                "stabilized_at": union.stabilized_at}
+    if args.beta is None:
+        raise ParseError("slice needs --beta or --beta-max", 0)
+    inputs["beta"] = args.beta
+    result = enumerate_slice(system, args.alpha, args.beta,
+                             args.max_candidates)
+    return {"projection": [[str(p) for p in xs] for xs in result.projection],
+            "solutions": len(result.solutions),
+            "stabilized": result.stabilized}
+
+
+@_command("zero-set", "zeros of a polynomial family in F_p", _P,
+          _arg("--poly", action="append", default=[], dest="polys"))
+def _zero_set(args, inputs):
+    field = PrimeField(args.p)
+    polys = [parse_poly(text, field) for text in args.polys]
+    inputs["p"] = args.p
+    inputs["polys"] = [str(p) for p in polys]
+    return {"roots": sorted(str(a) for a in zero_set(polys, field))}
+
+
+def _run_suite(args, inputs):
+    name = args.command[len("verify-"):]
+    runner = ALL_SUITES[name]
+    suite = runner(n_max=args.n_max) if name == "elliptic" else runner()
+    return suite.to_json(), suite.ok
+
+
+for _name in ALL_SUITES:
+    _command(f"verify-{_name}", f"run the {_name} suite",
+             *([_N_MAX] if _name == "elliptic" else []))(_run_suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,277 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic over k(z): degrees, divisors, the "
                     "reference elliptic surface, a computable transcendental "
                     "function, and Diophantine slice enumeration.")
-    sub = _Subcommands(parser, output_flags(argparse.SUPPRESS))
-
-    p = sub.add_parser("deg", help="degree as a map P^1 -> P^1")
-    p.add_argument("--f", required=True)
-
-    p = sub.add_parser("deg-star", help="deg num - deg den (= -v_inf)")
-    p.add_argument("--f", required=True)
-
-    p = sub.add_parser("val", help="valuation at a point or at inf")
-    p.add_argument("--f", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("poles", help="divisor of poles")
-    p.add_argument("--f", required=True)
-
-    p = sub.add_parser("pn", help="at most n geometric poles?")
-    p.add_argument("--f", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("veps", help="deg den <= (1-eps) deg num?")
-    p.add_argument("--f", required=True)
-    p.add_argument("--eps", required=True)
-
-    p = sub.add_parser("campana",
-                       help="poles outside S all of multiplicity >= l?")
-    p.add_argument("--f", required=True)
-    p.add_argument("--S", default="", help="comma-separated points, e.g. inf,1")
-    p.add_argument("--l", required=True, help="integer >= 1 or inf")
-
-    p = sub.add_parser("is-square", help="square test with optional witness")
-    p.add_argument("--f", required=True)
-    p.add_argument("--semantics", choices=("geometric", "base-field"),
-                   default="geometric")
-
-    p = sub.add_parser("is-derivative",
-                       help="is g the derivative of a rational function?")
-    p.add_argument("--g", required=True)
-
-    p = sub.add_parser("hermite", help="g = h' + remainder decomposition")
-    p.add_argument("--g", required=True)
-
-    p = sub.add_parser("frobenius",
-                       help="decompose f = sum z^j f_j^p over F_p(z)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    for name, help_text in (
-            ("ec-multiply", "n-th multiple of the base point"),
-            ("ec-height", "naive height of the n-th multiple"),
-            ("ec-hhat", "canonical height estimate h(2^k P)/4^k"),
-            ("ec-fibers", "bad fibers with Kodaira types"),
-            ("ec-rank", "Shioda-Tate rank count"),
-            ("ec-growth", "degree growth of x-coordinates")):
-        p = sub.add_parser(name, help=help_text)
-        _add_curve_options(p)
-        if name in ("ec-multiply", "ec-height"):
-            p.add_argument("--n", type=int, required=True)
-        if name == "ec-hhat":
-            p.add_argument("--k", type=int, required=True)
-        if name == "ec-growth":
-            p.add_argument("--n-max", type=int, default=8, dest="n_max")
-
-    p = sub.add_parser("eval-f",
-                       help="evaluate the transcendental function exactly "
-                            "or on an interval")
-    p.add_argument("--a", help="exact rational argument")
-    p.add_argument("--lo", help="interval lower endpoint")
-    p.add_argument("--hi", help="interval upper endpoint")
-    p.add_argument("--N", type=int, default=6,
-                   help="explicit terms for interval mode")
-
-    p = sub.add_parser("series-g", help="truncated even series of g(t) = f(it)")
-    p.add_argument("--N", type=int, required=True)
-
-    p = sub.add_parser("graph-points",
-                       help="first points (a, f(a)) of the fixed enumeration")
-    p.add_argument("--count", type=int, required=True)
-
-    p = sub.add_parser("slice", help="enumerate a Diophantine slice over F_p")
-    p.add_argument("--system", required=True,
-                   help="JSON file (or inline JSON) describing the system")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--beta-max", type=int, dest="beta_max")
-    p.add_argument("--max-candidates", type=int, default=2_000_000,
-                   dest="max_candidates")
-
-    p = sub.add_parser("zero-set", help="zeros of a polynomial family in F_p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--poly", action="append", default=[], dest="polys")
-
-    for name in ("verify-elliptic", "verify-analytic", "verify-divisors",
-                 "verify-slicer"):
-        p = sub.add_parser(name, help=f"run the {name.split('-')[1]} suite")
-        if name == "verify-elliptic":
-            p.add_argument("--n-max", type=int, default=8, dest="n_max")
-
+    common = output_flags(argparse.SUPPRESS)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help, parents=[common])
+        for flags, options in command.arguments:
+            sub.add_argument(*flags, **options)
     return parser
 
 
 def _run_command(args) -> Report:
-    name = args.command
     inputs: dict = {}
-    outputs: dict = {}
-    ok: Optional[bool] = None
-
-    if name == "deg":
-        f = parse_ratfun(args.f)
-        inputs["f"] = str(f)
-        outputs["degree"] = f.map_degree()
-    elif name == "deg-star":
-        f = parse_ratfun(args.f)
-        inputs["f"] = str(f)
-        outputs["deg_star"] = f.deg_star()
-    elif name == "val":
-        f = parse_ratfun(args.f)
-        point = parse_point(args.at)
-        inputs["f"], inputs["at"] = str(f), str(point)
-        outputs["valuation"] = f.valuation_at(point)
-    elif name == "poles":
-        f = parse_ratfun(args.f)
-        inputs["f"] = str(f)
-        divisor = pole_divisor(f)
-        outputs["divisor"] = divisor_to_json(divisor)
-        outputs["geometric_degree"] = geometric_degree(divisor)
-    elif name == "pn":
-        f = parse_ratfun(args.f)
-        inputs["f"], inputs["n"] = str(f), args.n
-        outputs["member"] = pn_member(f, args.n)
-    elif name == "veps":
-        f = parse_ratfun(args.f)
-        eps = parse_rational(args.eps)
-        inputs["f"], inputs["eps"] = str(f), str(eps)
-        outputs["member"] = veps_member(f, eps)
-    elif name == "campana":
-        f = parse_ratfun(args.f)
-        points = [parse_point(token)
-                  for token in args.S.split(",") if token.strip()]
-        ell = _parse_ell(args.l)
-        inputs["f"] = str(f)
-        inputs["S"] = ",".join(str(p) for p in points)
-        inputs["l"] = "inf" if ell == inf else str(ell)
-        outputs["member"] = campana_member(f, points, ell)
-    elif name == "is-square":
-        f = parse_ratfun(args.f)
-        inputs["f"], inputs["semantics"] = str(f), args.semantics
-        result = f.is_square(args.semantics)
-        outputs["square"] = result.ok
-        if result.witness is not None:
-            outputs["witness"] = str(result.witness)
-    elif name == "is-derivative":
-        g = parse_ratfun(args.g)
-        inputs["g"] = str(g)
-        flag, certificate = is_derivative(g)
-        outputs["derivative"] = flag
-        if certificate is not None:
-            outputs["antiderivative"] = str(certificate)
-    elif name == "hermite":
-        g = parse_ratfun(args.g)
-        inputs["g"] = str(g)
-        h, remainder = hermite_reduce(g)
-        outputs["h"] = str(h)
-        outputs["remainder"] = str(remainder)
-    elif name == "frobenius":
-        field = PrimeField(args.p)
-        f = parse_ratfun(args.f, field)
-        inputs["f"], inputs["p"] = str(f), args.p
-        decomposition = frobenius_decompose(f)
-        outputs["components"] = [str(c) for c in decomposition.components]
-        outputs["in_d"] = decomposition.in_d
-    elif name == "ec-multiply":
-        curve = _curve_from_args(args)
-        point = _point_from_args(args, curve)
-        inputs["curve"], inputs["n"] = str(curve), args.n
-        outputs["point"] = _point_json(ec_multiply(curve, args.n, point))
-    elif name == "ec-height":
-        curve = _curve_from_args(args)
-        point = _point_from_args(args, curve)
-        inputs["curve"], inputs["n"] = str(curve), args.n
-        outputs["height"] = naive_height(
-            curve, ec_multiply(curve, args.n, point))
-    elif name == "ec-hhat":
-        curve = _curve_from_args(args)
-        point = _point_from_args(args, curve)
-        inputs["curve"], inputs["k"] = str(curve), args.k
-        outputs["estimate"] = str(
-            canonical_height_estimate(curve, point, args.k))
-    elif name == "ec-fibers":
-        curve = _curve_from_args(args)
-        inputs["curve"] = str(curve)
-        fibers = bad_fibers(curve)
-        outputs["fibers"] = [fiber.to_json() for fiber in fibers]
-        outputs["delta_degree_total"] = delta_degree_total(fibers)
-    elif name == "ec-rank":
-        curve = _curve_from_args(args)
-        inputs["curve"] = str(curve)
-        fibers = bad_fibers(curve)
-        outputs["rank"] = shioda_tate_rank(fibers)
-        lattice = mordell_weil_lattice(fibers)
-        if lattice is not None:
-            outputs["lattice"] = {"name": lattice.name,
-                                  "rank": lattice.rank,
-                                  "minimal_norm": str(lattice.minimal_norm)}
-    elif name == "ec-growth":
-        curve = _curve_from_args(args)
-        point = _point_from_args(args, curve)
-        inputs["curve"], inputs["n_max"] = str(curve), args.n_max
-        rows = degree_growth_report(curve, point, args.n_max)
-        outputs["growth"] = [
-            {"n": n, "degree": degree, "ratio": str(ratio)}
-            for n, degree, ratio in rows]
-    elif name == "eval-f":
-        if args.a is not None:
-            a = parse_rational(args.a)
-            inputs["a"] = str(a)
-            outputs["value"] = str(analytic.eval_exact(a))
-        elif args.lo is not None and args.hi is not None:
-            lo, hi = parse_rational(args.lo), parse_rational(args.hi)
-            inputs["lo"], inputs["hi"], inputs["N"] = str(lo), str(hi), args.N
-            enclosure = analytic.eval_interval(lo, hi, args.N)
-            outputs["lo"] = str(enclosure.lo)
-            outputs["hi"] = str(enclosure.hi)
-        else:
-            raise ParseError("eval-f needs --a or both --lo and --hi", 0)
-    elif name == "series-g":
-        inputs["N"] = args.N
-        series = analytic.series_of_g(args.N)
-        outputs["cutoff"] = series.cutoff
-        outputs["coefficients"] = [str(c) for c in series.coefficients]
-    elif name == "graph-points":
-        inputs["count"] = args.count
-        outputs["points"] = [[str(a), str(value)]
-                             for a, value in analytic.graph_points(args.count)]
-    elif name == "slice":
-        system = _load_system(args.system)
-        inputs["p"], inputs["alpha"] = system.field.p, args.alpha
-        if args.beta_max is not None:
-            inputs["beta_max"] = args.beta_max
-            union = slice_union(system, args.alpha, args.beta_max,
-                                args.max_candidates)
-            outputs["members"] = [[str(p) for p in xs]
-                                  for xs in union.members]
-            outputs["stabilized_at"] = union.stabilized_at
-        elif args.beta is not None:
-            inputs["beta"] = args.beta
-            result = enumerate_slice(system, args.alpha, args.beta,
-                                     args.max_candidates)
-            outputs["projection"] = [[str(p) for p in xs]
-                                     for xs in result.projection]
-            outputs["solutions"] = len(result.solutions)
-            outputs["stabilized"] = result.stabilized
-        else:
-            raise ParseError("slice needs --beta or --beta-max", 0)
-    elif name == "zero-set":
-        field = PrimeField(args.p)
-        polys = [parse_poly(text, field) for text in args.polys]
-        inputs["p"] = args.p
-        inputs["polys"] = [str(p) for p in polys]
-        roots = zero_set(polys, field)
-        outputs["roots"] = sorted(str(a) for a in roots)
-    elif name.startswith("verify-"):
-        suite_name = name.split("-", 1)[1]
-        runner = ALL_SUITES[suite_name]
-        suite = (runner(n_max=args.n_max) if suite_name == "elliptic"
-                 else runner())
-        outputs.update(suite.to_json())
-        ok = suite.ok
-    else:  # pragma: no cover - argparse enforces the command set
-        raise ParseError(f"unknown command {name}", 0)
-
-    return Report(name, inputs, outputs, ok)
+    result = _COMMANDS[args.command].run(args, inputs)
+    outputs, ok = result if isinstance(result, tuple) else (result, None)
+    return Report(args.command, inputs, outputs, ok)
 
 
 def dispatch(argv) -> Report:

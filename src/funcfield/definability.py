@@ -25,6 +25,7 @@ from .fields import FpElement, PrimeField, same_field
 from .poly import (Poly, _add, _divmod, _gcd, _mul, _powmod, _trim,
                    poly_gcd)
 from .ratfun import RatFun
+from .textio import parse_poly
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
@@ -65,19 +66,7 @@ class DioSystem:
                     raise ValueError("coefficient field mismatch")
 
     @classmethod
-    def from_terms(cls, p: int, n: int, m: int,
-                   polys: Sequence[Sequence[Tuple[Sequence[int], Poly]]],
-                   ) -> "DioSystem":
-        field = PrimeField(p)
-        packed = tuple(
-            tuple((tuple(exponents), coeff) for exponents, coeff in poly)
-            for poly in polys)
-        return cls(field, n, m, packed)
-
-    @classmethod
     def from_json(cls, data: dict) -> "DioSystem":
-        from .textio import parse_poly
-
         field = PrimeField(int(data["p"]))
         polys = []
         for poly in data["polys"]:

@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 from .fields import Field, FpElement
 from .poly import Poly, poly_gcd, squarefree_decomposition
 from .ratfun import INFINITY, RatFun
+from .textio import parse_poly
 
 
 def _coeff_key(c):
@@ -281,8 +282,6 @@ def divisor_to_json(divisor: Divisor) -> List[dict]:
 
 
 def divisor_from_json(items: Iterable[dict], field: Field) -> Divisor:
-    from .textio import parse_poly
-
     pairs = []
     for item in items:
         place_text, mult = item["place"], int(item["mult"])

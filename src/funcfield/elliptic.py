@@ -157,6 +157,11 @@ def _multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
 def naive_height(curve: Curve, point: ECPoint) -> int:
     """Map degree of the x-coordinate of an affine point."""
     _require_on_curve(curve, point)
+    return _naive_height(point)
+
+
+def _naive_height(point: ECPoint) -> int:
+    """naive_height of a point already known to lie on its curve."""
     if point.is_identity:
         raise ValueError("naive height of the identity is undefined")
     return point.x.map_degree()

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import analytic
-from .definability import DioSystem, enumerate_slice, slice_union, zero_set
+from .definability import (DEFAULT_CANDIDATE_BUDGET, DioSystem,
+                           enumerate_slice, slice_union, zero_set)
 from .divisors import (Divisor, INFINITY, Place, campana_member,
                        geometric_degree, mult_at, pn_member, pole_divisor,
                        support_point_count, veps_member, z_set_member)
@@ -366,7 +367,7 @@ def square_slice_system() -> DioSystem:
     return DioSystem(field, 1, 1, (equation,))
 
 
-def verify_slicer(max_candidates: int = 2_000_000) -> SuiteResult:
+def verify_slicer(max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> SuiteResult:
     checks: List[CheckResult] = []
     system = square_slice_system()
     field = system.field

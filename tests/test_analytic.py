@@ -3,6 +3,7 @@
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -190,6 +191,34 @@ def test_series_buffer_terms_feed_low_degrees():
     # every product past n = 1 contains (q_1 + t^2) = t^2, so longer sums
     # strictly increase the degree-2 coefficient
     assert an.series_of_g(2).coefficient(2) > Fraction(1, 4)
+
+
+def reference_series(cutoff):
+    """The even series by a truncated Fraction convolution, term by term."""
+    half = cutoff // 2
+    acc = [Fraction(0)] * (half + 1)
+    product = [Fraction(1)]
+    for n, qn, a_n in islice(an._terms(), half + an._SERIES_BUFFER):
+        updated = [Fraction(0)] * min(len(product) + 1, half + 1)
+        for j, c in enumerate(product):
+            if j < len(updated):
+                updated[j] += qn * c
+            if j + 1 < len(updated):
+                updated[j + 1] += c
+        product = updated
+        scale = Fraction(1, factorial(2 * n) * a_n)
+        for j, c in enumerate(product):
+            acc[j] += c * scale
+    coefficients = [Fraction(0)] * (cutoff + 1)
+    coefficients[::2] = acc
+    return tuple(coefficients)
+
+
+def test_series_matches_truncated_convolution():
+    for cutoff in range(2, 121, 2):
+        series = an.series_of_g(cutoff)
+        assert series.cutoff == cutoff
+        assert series.coefficients == reference_series(cutoff), cutoff
 
 
 # -- graph enumeration ------------------------------------------------------------

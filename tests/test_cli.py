@@ -1,12 +1,16 @@
 """Dispatch, exit codes, determinism and round-trips of the CLI."""
 
+import argparse
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from funcfield import cli
+from funcfield import cli, elliptic
 from funcfield.cli import dispatch, main
+from funcfield.elliptic import generator_point, on_curve
 from funcfield.textio import parse_ratfun
 
 
@@ -208,3 +212,59 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# -- golden outputs -----------------------------------------------------------
+#
+# cli_golden.json holds the recorded `--json --stable` output of main() for
+# at least one invocation of every subcommand, error exits included; the
+# output must stay byte-identical unless the CLI's contract changes.
+
+GOLDEN = json.loads(
+    Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
+
+
+def registered_commands():
+    parser = cli.build_parser()
+    [subparsers] = [action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    return set(subparsers.choices)
+
+
+def test_golden_cases_cover_every_command():
+    assert {case["argv"][0] for case in GOLDEN} == registered_commands()
+    assert len(registered_commands()) == 26
+    assert {case["exit_code"] for case in GOLDEN} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[
+    f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(GOLDEN)])
+def test_golden_output_is_byte_identical(case, capsys):
+    assert main(["--json", "--stable", *case["argv"]]) == case["exit_code"]
+    captured = capsys.readouterr()
+    printed = {"stdout": captured.out, "stderr": captured.err}
+    assert printed.pop(case["stream"]) == case["text"]
+    assert printed.popitem()[1] == ""
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name in registered_commands():
+        assert re.search(rf"^\s+{re.escape(name)}\s", out, re.M), name
+
+
+def test_ec_height_checks_only_the_base_point(monkeypatch):
+    calls = []
+
+    def counting_on_curve(curve, point):
+        calls.append(point)
+        return on_curve(curve, point)
+
+    monkeypatch.setattr(elliptic, "on_curve", counting_on_curve)
+    report = dispatch(["ec-height", "--n", "5"])
+    assert report.exit_code == 0
+    assert report.outputs["height"] == 12
+    assert calls == [generator_point()]
