@@ -481,11 +481,7 @@ def frobenius_decompose(f: RatFun) -> FrobeniusDecomposition:
         zero = RatFun.zero(field)
         return FrobeniusDecomposition((zero,) * p, False)
     den = f.den
-    cleared = f.num * den ** (p - 1)
-    components = []
-    for j in range(p):
-        root_coeffs = [cleared.coefficient(idx)
-                       for idx in range(j, cleared.degree + 1, p)]
-        components.append(RatFun(Poly(root_coeffs, field), den))
+    cleared = (f.num * den ** (p - 1)).coeffs
+    components = [RatFun(Poly(cleared[j::p], field), den) for j in range(p)]
     in_d = any(not comp.is_zero for comp in components[1:])
     return FrobeniusDecomposition(tuple(components), in_d)

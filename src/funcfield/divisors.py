@@ -103,10 +103,6 @@ class Divisor:
                 return m
         return 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def __add__(self, other: "Divisor") -> "Divisor":
         """Sum of divisors, refining overlapping blocks into coprime ones."""
         inf_mult = 0

@@ -9,15 +9,17 @@ are built only at the edge: `Poly(coeffs, field)` validates and converts
 its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
 build them on the way out.  The variable is always called z.
 
-Over Q, products are one big-int multiply (Kronecker substitution),
-division is fraction-free pseudo-division, and gcds run the heuristic gcd
-(GCDHEU) on the primitive numerators with a primitive pseudo-remainder
-sequence as fallback; README states the cost model.  Over F_p the
-schoolbook loops and the Euclidean algorithm below run on the residues,
-and the slicer and zero sets in `definability` use the same kernels.
-Squarefree decomposition is the derivative-gcd cascade (Yun); in
-characteristic p a nonzero part with vanishing derivative aborts with an
-explicit inseparable-part report.
+Over Q, products are one big-int multiply (Kronecker substitution: both
+operands evaluated at a power of two by the shifts GCDHEU also uses, the
+product read back with an offset per slot), division is fraction-free
+pseudo-division d u = q v + r with one integer d, and gcds run the
+heuristic gcd (GCDHEU) on the primitive numerators with a primitive
+pseudo-remainder sequence as fallback; README states the cost model.
+Over F_p the schoolbook loops and the Euclidean algorithm below run on
+the residues, and the slicer and zero sets in `definability` use the
+same kernels.  Squarefree decomposition is the derivative-gcd cascade
+(Yun); in characteristic p a nonzero part with vanishing derivative
+aborts with an explicit inseparable-part report.
 """
 
 from __future__ import annotations
@@ -205,13 +207,11 @@ class Poly:
             return _poly(quot, 1, field), _poly(rem, 1, field)
         w = _int_primitive(list(b))
         content = b[-1] // w[-1]
-        qn, qd, rem, d = _pseudo_divmod(a, w)
-        # With a = u / da, b = content w / db and every qd_k dividing d:
-        # a = (sum_k qn_k (d / qd_k) z^k) db / (d da content) b
-        #     + rem / (d da).
-        quot = [c * (other._den * d // e) for c, e in zip(qn, qd)]
+        quot, rem, d = _pseudo_divmod(a, w)
+        # With a = u / da, b = content w / db and d u = quot w + rem:
+        # a = quot db / (d da content) b + rem / (d da).
         d *= self._den
-        return (_q_poly(quot, d * content, field),
+        return (_q_poly([c * other._den for c in quot], d * content, field),
                 _q_poly(_trim(rem), d, field))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -388,59 +388,45 @@ def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
 # -- integer kernels over Q ------------------------------------------------
 
 
-def _pack(cs: List[int], width: int) -> int:
-    """sum(c_i * 2^(8 width i)): the positive and the negative coefficients
-    are laid out as fixed-width little-endian slots separately."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
-                   for c in cs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
-                   for c in cs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
     """Product of two integer coefficient lists by one big-int multiply.
 
     Every product coefficient is below 2^(bu + bv + bl) in absolute value
     (bu, bv the largest coefficient sizes in bits, bl the size of the
     shorter length), so slots of that many bits plus a sign bit hold them.
+    Both operands are evaluated at 2^(8 width) and the product is read
+    back by `_unpack`.
     """
     bits = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length()
             + min(len(u), len(v)).bit_length())
     width = bits // 8 + 1
-    return _unpack(_pack(u, width) * _pack(v, width), width)
+    shift = 8 * width
+    return _unpack(_evaluate(u, shift) * _evaluate(v, shift), width)
 
 
 def _unpack(n: int, width: int) -> List[int]:
     """The integer list h without trailing zeros with h(2^(8 width)) = n
     and every coefficient in [-2^(8 width - 1), 2^(8 width - 1)).
 
-    A slot of n in two's complement, read as an unsigned value plus the
-    borrow from the slot below, is the coefficient itself when below half
-    the slot range, and that minus the range otherwise, with a borrow into
-    the next slot.  The top slot holds only sign bits, so no borrow is
-    left over.
+    Adding half the slot range to every slot of n makes each slot of the
+    sum h_i + half, in [0, 2^(8 width)), so one unsigned conversion lays
+    the slots out and each is read back minus half.  There are k slots
+    with |n| < half 2^(8 width (k - 1)), which keeps the sum in
+    [0, 2^(8 width k)).
     """
-    size = width * (n.bit_length() // (8 * width) + 2)
-    data = n.to_bytes(size, "little", signed=True)
+    k = n.bit_length() // (8 * width) + 2
     half = 1 << (8 * width - 1)
-    full = half << 1
-    out = []
-    borrow = 0
-    for k in range(0, size, width):
-        c = int.from_bytes(data[k:k + width], "little") + borrow
-        borrow = c >= half
-        out.append(c - full if borrow else c)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
+    data = (n + offset).to_bytes(width * k, "little")
+    return _trim([int.from_bytes(data[i:i + width], "little") - half
+                  for i in range(0, width * k, width)])
 
 
 def _evaluate(cs: List[int], shift: int) -> int:
-    """sum(c_i 2^(shift i)).  Horner's rule with shifts moves O(n^2 shift)
-    bits for n coefficients; halving the list moves O(n log(n) shift), so
-    lists longer than 16 are halved."""
+    """sum(c_i 2^(shift i)), the Kronecker packing and the GCDHEU
+    evaluation.  Horner's rule with shifts moves O(n^2 shift) bits for n
+    coefficients; halving the list moves O(n log(n) shift), so lists
+    longer than 16 are halved."""
     n = len(cs)
     if n > 16:
         m = n // 2
@@ -455,17 +441,17 @@ def _evaluate(cs: List[int], shift: int) -> int:
 def _pseudo_divmod(u: List[int], v: List[int]):
     """Fraction-free division of integer lists, len(u) >= len(v) > 0.
 
-    Returns (qn, qd, r, d) with u = sum_k (qn_k / qd_k) z^k * v + r / d.
-    Each step removes the top coefficient s of the remainder after scaling
-    the remainder by m = lc(v) / gcd(lc(v), s), so the remainder grows
-    only when the step is not exact over Z, and d is the product of the
-    scalings so far.
+    Returns (q, r, d) with d u = q v + r and len(r) < len(v).  Each step
+    removes the top coefficient s of the remainder after scaling the
+    remainder and the quotient so far by m = lc(v) / gcd(lc(v), s), so
+    they grow only when the step is not exact over Z, and d is the product
+    of the scalings.
     """
     r = list(u)
     lv, dv = v[-1], len(v) - 1
     low = v[:-1]
     n = len(u) - dv
-    qn, qd = [0] * n, [1] * n
+    q = [0] * n
     d = 1
     for k in range(n - 1, -1, -1):
         top = dv + k
@@ -477,15 +463,14 @@ def _pseudo_divmod(u: List[int], v: List[int]):
         if m != 1:
             d *= m
             r[:top] = [m * c for c in r[:top]]
-        qn[k], qd[k] = t, d
+            q[k + 1:] = [m * c for c in q[k + 1:]]
+        q[k] = t
         r[k:top] = [c - t * w for c, w in zip(r[k:top], low)]
-    return qn, qd, r[:dv], d
+    return q, r[:dv], d
 
 
 def _int_primitive(cs: List[int]) -> List[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
+    if not _trim(cs):
         return cs
     g = 0
     for c in cs:
@@ -586,15 +571,15 @@ def _exact_quotient(u: List[int], v: List[int]):
     if len(v) > len(u) or u[-1] % v[-1] \
             or (u[0] % v[0] if v[0] else u[0]):
         return None
-    qn, _, r, d = _pseudo_divmod(u, v)
-    return qn if d == 1 and not any(r) else None
+    q, r, d = _pseudo_divmod(u, v)
+    return q if d == 1 and not any(r) else None
 
 
 def _prs_gcd(u: List[int], v: List[int]) -> List[int]:
     """Primitive pseudo-remainder sequence gcd of primitive integer lists
     with positive leading coefficients, len(u) >= len(v) > 0."""
     while v:
-        u, v = v, _int_primitive(_pseudo_divmod(u, v)[2])
+        u, v = v, _int_primitive(_pseudo_divmod(u, v)[1])
     return u
 
 

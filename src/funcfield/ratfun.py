@@ -32,6 +32,16 @@ class SquareResult(NamedTuple):
     witness: Optional["RatFun"]
 
 
+def _monic_den(num: Poly, den: Poly):
+    """The canonical pair for num/den, num and den coprime, den nonzero:
+    den made monic, and 0/1 for zero."""
+    if num.is_zero:
+        return num, Poly.one(num.field)
+    if den.is_monic:
+        return num, den
+    return num.scale(den.field.one / den.lc), den.monic()
+
+
 class RatFun:
     """Immutable rational function in canonical coprime-monic form."""
 
@@ -43,32 +53,17 @@ class RatFun:
         num._same(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num = num
-            self.den = Poly.one(num.field)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        if not den.is_monic:
-            inv = den.field.one / den.lc
-            num, den = num.scale(inv), den.monic()
-        self.num = num
-        self.den = den
+        if not num.is_zero:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        self.num, self.den = _monic_den(num, den)
 
     @classmethod
     def _coprime(cls, num: Poly, den: Poly) -> "RatFun":
         """Construct from a pair already known to be coprime (skips the gcd)."""
         obj = object.__new__(cls)
-        if num.is_zero:
-            obj.num = num
-            obj.den = Poly.one(num.field)
-            return obj
-        if not den.is_monic:
-            inv = den.field.one / den.lc
-            num, den = num.scale(inv), den.monic()
-        obj.num = num
-        obj.den = den
+        obj.num, obj.den = _monic_den(num, den)
         return obj
 
     # -- constructors -------------------------------------------------
@@ -134,8 +129,6 @@ class RatFun:
         if isinstance(other, Poly):
             same_field(self.field, other.field)
             return RatFun.from_poly(other)
-        if isinstance(other, int):
-            return RatFun.constant(self.field.coerce(other), self.field)
         try:
             return RatFun.constant(self.field.coerce(other), self.field)
         except TypeError:

@@ -166,6 +166,46 @@ def test_pow_forms_no_product_above_the_result_degree(field, monkeypatch):
         assert power == reference
 
 
+@pytest.mark.parametrize("width", [1, 2, 9])
+def test_unpack_reads_back_the_shift_evaluation(width, rng=random.Random(4408)):
+    half = 1 << (8 * width - 1)
+    cases = [[], [0], [0, 0], [-half], [half - 1], [-half, half - 1],
+             [half - 1, -half], [7, 0, 0, -half, 0, 0], [0, 0, 0, 1],
+             [-1], [half - 1, -1], [0, -half, 0, half - 1, -half]]
+    cases += [[rng.randrange(-half, half) for _ in range(rng.randint(1, 40))]
+              for _ in range(50)]
+    for cs in cases:
+        n = poly._evaluate(cs, 8 * width)
+        assert poly._unpack(n, width) == poly._trim(list(cs))
+    # a negative leading coefficient gives a negative value
+    assert poly._evaluate([half - 1, 0, -1], 8 * width) < 0
+
+
+def test_pseudo_divmod_scales_the_quotient_and_remainder_together(
+        rng=random.Random(4409)):
+    def ints(length, bits):
+        cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+        cs[-1] = cs[-1] or rng.choice((-3, 2))
+        return cs
+
+    for _ in range(300):
+        v = ints(rng.randint(1, 8), rng.randint(0, 60))
+        u = ints(len(v) + rng.randint(0, 12), rng.randint(0, 60))
+        for monic in (False, True):
+            if monic:
+                v = v[:-1] + [1]
+            q, r, d = poly._pseudo_divmod(u, v)
+            assert [d * c for c in u] == list(stripped(
+                [x + y for x, y in zip(schoolbook_mul(q, v, 0),
+                                       r + [0] * len(u))]))
+            assert len(poly._trim(list(r))) < len(v)
+            if monic:
+                assert d == 1
+        w = ints(rng.randint(1, 8), rng.randint(0, 60))
+        q, r, d = poly._pseudo_divmod(schoolbook_mul(w, v, 0), v)
+        assert (q, poly._trim(r), d) == (w, [], 1)
+
+
 def test_q_kernels_match_sympy_at_degree_512(rng=random.Random(4404)):
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
