@@ -32,8 +32,8 @@ from .elliptic import (Curve, ECPoint, _naive_height, bad_fibers,
                        shioda_tate_rank)
 from .fields import QQ, Field, PrimeField
 from .ratfun import RatFun
-from .textio import (ParseError, parse_point, parse_poly, parse_ratfun,
-                     parse_rational)
+from .textio import (_INFINITY_TOKENS, ParseError, parse_point, parse_poly,
+                     parse_ratfun, parse_rational)
 from .verify import ALL_SUITES
 
 
@@ -87,7 +87,7 @@ def _point_json(point: ECPoint) -> dict:
 
 
 def _parse_ell(text: str):
-    if text.strip() in ("inf", "oo", "infinity"):
+    if text.strip() in _INFINITY_TOKENS:
         return inf
     return int(text)
 
@@ -435,8 +435,7 @@ def _dispatch(args) -> Report:
                         ok=False)
         report.exit_code = 1
         return report
-    except (ParseError, ValueError, ArithmeticError, OSError,
-            json.JSONDecodeError, KeyError) as error:
+    except (ValueError, ArithmeticError, OSError, KeyError) as error:
         report = Report(args.command, {}, {"error": str(error)})
         report.exit_code = 2
         return report

@@ -7,8 +7,9 @@ Four independent tools live here:
   slices as the witness degree grows (`enumerate_slice`, `slice_union`);
 * zero sets of finite polynomial families over F_p, by gcds with z^p - z
   (`zero_set`);
-* Hermite (Ostrogradsky) reduction g = h' + r with squarefree remainder
-  denominator, and the derivative test built on it (`hermite_reduce`,
+* Hermite reduction g = h' + r with squarefree remainder denominator, in
+  Mack's linear version (gcds, exact divisions and one Bezout solve per
+  pole order), and the derivative test built on it (`hermite_reduce`,
   `is_derivative`);
 * the square-pair test for the family "constant, or f and f+4 both
   non-squares" (`nonsquare_pair_check`), and the characteristic-p
@@ -348,67 +349,50 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
 # -- Hermite reduction and the derivative test ---------------------------
 
 
-def _solve_linear(rows: List[List], rhs: List) -> List:
-    """Gaussian elimination over a field; expects a unique solution."""
-    size = len(rows)
-    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular reduction system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [value * inv for value in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+def _bezout(a: Poly, b: Poly, c: Poly) -> Tuple[Poly, Poly]:
+    """(s, t) with s*a + t*b = c and deg s < deg b, for coprime a and b.
+
+    The half-extended Euclidean algorithm tracks s_i with
+    s_i * a = r_i (mod b); the last nonzero remainder is a constant.
+    """
+    r0, s0 = b, Poly.zero(b.field)
+    r1, s1 = a % b, Poly.one(b.field)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, s0 - q * s1
+    s = (s0 * c).scale(1 / r0.lc) % b
+    return s, (c - s * a) // b
 
 
 def hermite_reduce(g: RatFun) -> Tuple[RatFun, RatFun]:
-    """Write g = h' + r with the proper part of r over a squarefree denominator.
+    """Write g = h' + r with h proper and the proper part of r over a
+    squarefree denominator.
 
-    Ostrogradsky's method: with den = e * s (e = gcd(den, den'), s the
-    radical) and proper numerator A, solve the linear system
-    A = C'*s - C*t + B*e where t = s*e'/e is a polynomial, deg C < deg e,
-    deg B < deg s; then the proper part of g equals (C/e)' + B/s.  The
-    polynomial part of g stays in the remainder untouched.
+    Mack's linear version (Bronstein, Symbolic Integration I, 2.2): with
+    D_ = gcd(D, D') and D* = D / D_, each pass peels one pole order off
+    the proper part a / D.  It takes D_2 = gcd(D_, D_'), D_* = D_ / D_2,
+    solves b u = a (mod D_*) for u = -D* D_' / D_ and deg b < deg D_*, adds
+    b / D_ to h and continues with a <- (a - b u) / D_* - b' D* / D_* over
+    D_2.  Each pass costs two gcds, exact divisions and one Bezout solve
+    modulo the squarefree D_*; no linear system is built.  The polynomial
+    part of g stays in the remainder untouched.  h and r are unique, since
+    the derivative of a proper h with a pole has a pole of order >= 2.
     """
     if g.field.characteristic != 0:
         raise ValueError("Hermite reduction requires characteristic 0")
-    field = g.field
-    if g.is_zero:
-        return RatFun.zero(field), RatFun.zero(field)
-    poly_part, proper_num = divmod(g.num, g.den)
-    den = g.den
-    if den.degree == 0 or proper_num.is_zero:
-        return RatFun.zero(field), g
-    e = poly_gcd(den, den.derivative())
-    if e.degree == 0:
-        return RatFun.zero(field), g
-    s = den // e
-    t = (s * e.derivative()) // e
-    deg_e, deg_s = e.degree, s.degree
-    size = deg_e + deg_s
-
-    def column(poly: Poly) -> List:
-        return [poly.coefficient(i) for i in range(size)]
-
-    columns = []
-    for j in range(deg_e):  # unknown C = sum c_j z^j
-        basis = Poly([0] * j + [1], field)
-        columns.append(column(basis.derivative() * s - basis * t))
-    for j in range(deg_s):  # unknown B = sum b_j z^j
-        basis = Poly([0] * j + [1], field)
-        columns.append(column(basis * e))
-    rows = [[columns[c][r] for c in range(size)] for r in range(size)]
-    solution = _solve_linear(rows, column(proper_num))
-    c_poly = Poly(solution[:deg_e], field)
-    b_poly = Poly(solution[deg_e:], field)
-    h = RatFun(c_poly, e)
-    remainder = RatFun.from_poly(poly_part) + RatFun(b_poly, s)
-    return h, remainder
+    h = RatFun.zero(g.field)
+    poly_part, a = divmod(g.num, g.den)
+    d_minus = poly_gcd(g.den, g.den.derivative())
+    d_star = g.den // d_minus
+    while d_minus.degree > 0:
+        d_minus2 = poly_gcd(d_minus, d_minus.derivative())
+        d_minus_star = d_minus // d_minus2
+        u = -(d_star * d_minus.derivative() // d_minus)
+        b, c = _bezout(u, d_minus_star, a)
+        a = c - b.derivative() * d_star // d_minus_star
+        h = h + RatFun(b, d_minus)
+        d_minus = d_minus2
+    return h, RatFun.from_poly(poly_part) + RatFun(a, d_star)
 
 
 def is_derivative(g: RatFun) -> Tuple[bool, Optional[RatFun]]:

@@ -27,6 +27,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_INFINITY_TOKENS = ("inf", "oo", "infinity")
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
@@ -188,12 +189,10 @@ def parse_poly(text: str, field: Field = QQ) -> Poly:
 def parse_point(text: str, field: Field = QQ):
     """Parse a base-field point or the token 'inf'."""
     stripped = text.strip()
-    if stripped in ("inf", "oo", "infinity"):
+    if stripped in _INFINITY_TOKENS:
         return INFINITY
     f = parse_ratfun(stripped, field)
     if not f.is_constant:
-        raise ParseError(f"{text!r} is not a constant point", 0)
-    if f.den.degree != 0:
         raise ParseError(f"{text!r} is not a constant point", 0)
     return f.num.coefficient(0)
 

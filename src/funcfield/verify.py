@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import analytic
-from .definability import (DEFAULT_CANDIDATE_BUDGET, DioSystem,
-                           enumerate_slice, slice_union, zero_set)
+from .definability import (DioSystem, enumerate_slice, slice_union,
+                           zero_set)
 from .divisors import (Divisor, INFINITY, Place, campana_member,
                        geometric_degree, mult_at, pn_member, pole_divisor,
                        support_point_count, veps_member, z_set_member)
@@ -177,13 +177,18 @@ def verify_elliptic(n_max: int = 8) -> SuiteResult:
 # -- analytic suite -------------------------------------------------------
 
 
-def verify_analytic(rational_count: int = 100, series_cutoff: int = 40,
-                    bound_samples: int = 100, bound_max_n: int = 10,
-                    seed: int = 20839) -> SuiteResult:
+_RATIONAL_COUNT = 100
+_SERIES_CUTOFF = 40
+_BOUND_SAMPLES = 100
+_BOUND_MAX_N = 10
+_ANALYTIC_SEED = 20839
+
+
+def verify_analytic() -> SuiteResult:
     checks: List[CheckResult] = []
 
     tails_ok = True
-    for n in range(1, rational_count + 1):
+    for n in range(1, _RATIONAL_COUNT + 1):
         a = analytic.enumerated_rational(n)
         analytic.eval_exact(a)  # must return an exact rational
         m = analytic.square_index(a)
@@ -198,30 +203,30 @@ def verify_analytic(rational_count: int = 100, series_cutoff: int = 40,
             break
     checks.append(CheckResult(
         "exact-values-with-zero-tails", tails_ok,
-        f"first {rational_count} enumerated rationals"))
+        f"first {_RATIONAL_COUNT} enumerated rationals"))
 
-    series = analytic.series_of_g(series_cutoff)
+    series = analytic.series_of_g(_SERIES_CUTOFF)
     odd_ok = all(series.coefficient(k) == 0
-                 for k in range(1, series_cutoff + 1, 2))
+                 for k in range(1, _SERIES_CUTOFF + 1, 2))
     even_ok = all(series.coefficient(k) > 0
-                  for k in range(2, series_cutoff + 1, 2))
+                  for k in range(2, _SERIES_CUTOFF + 1, 2))
     checks.append(CheckResult(
         "series-parity-positivity",
         odd_ok and even_ok and series.coefficient(0) == 0,
-        f"degrees up to {series_cutoff}"))
+        f"degrees up to {_SERIES_CUTOFF}"))
 
-    rng = random.Random(seed)
+    rng = random.Random(_ANALYTIC_SEED)
     bound_ok = True
-    for _ in range(bound_samples):
+    for _ in range(_BOUND_SAMPLES):
         re = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
         im = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
         if not all(analytic.product_bound_holds(re, im, n)
-                   for n in range(1, bound_max_n + 1)):
+                   for n in range(1, _BOUND_MAX_N + 1)):
             bound_ok = False
             break
     checks.append(CheckResult(
         "coefficient-bound-certificate", bound_ok,
-        f"{bound_samples} complex rational samples, n <= {bound_max_n}"))
+        f"{_BOUND_SAMPLES} complex rational samples, n <= {_BOUND_MAX_N}"))
 
     interval_ok = True
     for n in range(1, 21):
@@ -244,26 +249,31 @@ def verify_analytic(rational_count: int = 100, series_cutoff: int = 40,
 # -- divisor suite --------------------------------------------------------
 
 
-def verify_divisors(degree_samples: int = 500, veps_samples: int = 200,
-                    contradiction_samples: int = 50,
-                    campana_samples: int = 200, pn_samples: int = 200,
-                    seed: int = 50311) -> SuiteResult:
-    rng = random.Random(seed)
+_DEGREE_SAMPLES = 500
+_VEPS_SAMPLES = 200
+_CONTRADICTION_SAMPLES = 50
+_CAMPANA_SAMPLES = 200
+_PN_SAMPLES = 200
+_DIVISORS_SEED = 50311
+
+
+def verify_divisors() -> SuiteResult:
+    rng = random.Random(_DIVISORS_SEED)
     checks: List[CheckResult] = []
 
     degree_ok = True
-    for _ in range(degree_samples):
+    for _ in range(_DEGREE_SAMPLES):
         f = random_ratfun(rng, max_degree=6, nonzero=True)
         if geometric_degree(pole_divisor(f)) != f.map_degree():
             degree_ok = False
             break
     checks.append(CheckResult(
         "pole-degree-equals-map-degree", degree_ok,
-        f"{degree_samples} random rational functions"))
+        f"{_DEGREE_SAMPLES} random rational functions"))
 
     veps_ok = True
     epsilons = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-    for i in range(veps_samples):
+    for i in range(_VEPS_SAMPLES):
         eps = epsilons[i % len(epsilons)]
         f = _random_veps_member(rng, eps)
         if not veps_member(f, eps):
@@ -274,19 +284,19 @@ def verify_divisors(degree_samples: int = 500, veps_samples: int = 200,
             break
     checks.append(CheckResult(
         "veps-infinity-multiplicity", veps_ok,
-        f"{veps_samples} members across eps in {{1/4, 1/2, 1}}"))
+        f"{_VEPS_SAMPLES} members across eps in {{1/4, 1/2, 1}}"))
 
     contradiction_ok = True
-    for _ in range(contradiction_samples):
+    for _ in range(_CONTRADICTION_SAMPLES):
         if not _contradiction_case_fails(rng):
             contradiction_ok = False
             break
     checks.append(CheckResult(
         "multiplicity-contradiction", contradiction_ok,
-        f"{contradiction_samples} random (P, Q, r, eps, m) tuples"))
+        f"{_CONTRADICTION_SAMPLES} random (P, Q, r, eps, m) tuples"))
 
     ell_one_ok = True
-    for _ in range(campana_samples):
+    for _ in range(_CAMPANA_SAMPLES):
         f = random_ratfun(rng, max_degree=5, nonzero=True)
         points = [rng.randint(-5, 5)] if rng.random() < 0.5 else []
         if not campana_member(f, points, 1):
@@ -294,10 +304,10 @@ def verify_divisors(degree_samples: int = 500, veps_samples: int = 200,
             break
     checks.append(CheckResult(
         "campana-ell-one-accepts-all", ell_one_ok,
-        f"{campana_samples} random functions"))
+        f"{_CAMPANA_SAMPLES} random functions"))
 
     poly_ok = True
-    for i in range(campana_samples):
+    for i in range(_CAMPANA_SAMPLES):
         if i % 2 == 0:
             f = RatFun.from_poly(random_poly(rng, 5, nonzero=True))
         else:
@@ -307,10 +317,10 @@ def verify_divisors(degree_samples: int = 500, veps_samples: int = 200,
             break
     checks.append(CheckResult(
         "campana-infinity-is-polynomials", poly_ok,
-        f"{campana_samples} mixed samples"))
+        f"{_CAMPANA_SAMPLES} mixed samples"))
 
     pn_ok = True
-    for _ in range(pn_samples):
+    for _ in range(_PN_SAMPLES):
         f = random_ratfun(rng, max_degree=6, nonzero=True)
         distinct = radical(f.den).degree
         if f.num.degree > f.den.degree:
@@ -324,7 +334,7 @@ def verify_divisors(degree_samples: int = 500, veps_samples: int = 200,
             break
     checks.append(CheckResult(
         "pn-matches-radical-count", pn_ok,
-        f"{pn_samples} random functions vs radical-degree oracle"))
+        f"{_PN_SAMPLES} random functions vs radical-degree oracle"))
 
     return SuiteResult("divisors", tuple(checks))
 
@@ -367,20 +377,20 @@ def square_slice_system() -> DioSystem:
     return DioSystem(field, 1, 1, (equation,))
 
 
-def verify_slicer(max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> SuiteResult:
+def verify_slicer() -> SuiteResult:
     checks: List[CheckResult] = []
     system = square_slice_system()
     field = system.field
 
     expected = {parse_poly(text, field)
                 for text in ("0", "1", "z^2", "z^2 + 1")}
-    result = enumerate_slice(system, 2, 1, max_candidates)
+    result = enumerate_slice(system, 2, 1)
     projection = {xs[0] for xs in result.projection}
     checks.append(CheckResult(
         "slice-projection", projection == expected,
         "projection at alpha=2, beta=1 is {0, 1, z^2, z^2+1}"))
 
-    union = slice_union(system, 2, 3, max_candidates)
+    union = slice_union(system, 2, 3)
     union_set = {xs[0] for xs in union.members}
     checks.append(CheckResult(
         "union-stabilization",

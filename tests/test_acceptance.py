@@ -94,31 +94,43 @@ def test_criterion_3_degree_growth():
 
 def test_criterion_4_analytic_function():
     with criterion(4, "analytic function", 60.0):
-        suite = verify_analytic(rational_count=100, series_cutoff=40,
-                                bound_samples=100, bound_max_n=10)
-        checks = _suite_checks(suite)
+        checks = _suite_checks(verify_analytic())
         assert checks["exact-values-with-zero-tails"].ok
         assert checks["series-parity-positivity"].ok
         assert checks["coefficient-bound-certificate"].ok
+        assert (checks["exact-values-with-zero-tails"].detail
+                == "first 100 enumerated rationals")
+        assert checks["series-parity-positivity"].detail == "degrees up to 40"
+        assert (checks["coefficient-bound-certificate"].detail
+                == "100 complex rational samples, n <= 10")
 
 
 def test_criterion_5_divisor_predicates():
     with criterion(5, "divisor predicates", 30.0):
-        suite = verify_divisors(degree_samples=500, veps_samples=200,
-                                contradiction_samples=50)
-        checks = _suite_checks(suite)
+        checks = _suite_checks(verify_divisors())
         assert checks["pole-degree-equals-map-degree"].ok
         assert checks["veps-infinity-multiplicity"].ok
         assert checks["multiplicity-contradiction"].ok
+        assert (checks["pole-degree-equals-map-degree"].detail
+                == "500 random rational functions")
+        assert (checks["veps-infinity-multiplicity"].detail
+                == "200 members across eps in {1/4, 1/2, 1}")
+        assert (checks["multiplicity-contradiction"].detail
+                == "50 random (P, Q, r, eps, m) tuples")
 
 
 def test_criterion_6_campana_and_pole_counts():
     with criterion(6, "campana and pole counts", 10.0):
-        suite = verify_divisors(campana_samples=200, pn_samples=200)
-        checks = _suite_checks(suite)
+        checks = _suite_checks(verify_divisors())
         assert checks["campana-ell-one-accepts-all"].ok
         assert checks["campana-infinity-is-polynomials"].ok
         assert checks["pn-matches-radical-count"].ok
+        assert (checks["campana-ell-one-accepts-all"].detail
+                == "200 random functions")
+        assert (checks["campana-infinity-is-polynomials"].detail
+                == "200 mixed samples")
+        assert (checks["pn-matches-radical-count"].detail
+                == "200 random functions vs radical-degree oracle")
 
 
 def test_criterion_7_witness_families():

@@ -369,6 +369,116 @@ def test_hermite_identity_random(rng=random.Random(13331)):
                         remainder.den.derivative()).degree == 0
 
 
+def _solve_linear(rows, rhs):
+    """Gaussian elimination over Q for a system with a unique solution."""
+    size = len(rows)
+    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [value * inv for value in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
+
+
+def reference_hermite(g):
+    """Ostrogradsky's dense route, independent of the library's loop.
+
+    With den = e * s (e = gcd(den, den'), s the radical), t = s e' / e and
+    proper numerator A, solve A = C' s - C t + B e for deg C < deg e,
+    deg B < deg s as one linear system; then h = C / e and the remainder
+    is the polynomial part plus B / s.
+    """
+    field = g.field
+    poly_part, proper_num = divmod(g.num, g.den)
+    e = poly_gcd(g.den, g.den.derivative())
+    if proper_num.is_zero or e.degree == 0:
+        return RatFun.zero(field), g
+    s = g.den // e
+    t = (s * e.derivative()) // e
+    size = e.degree + s.degree
+
+    def column(poly):
+        return [poly.coefficient(i) for i in range(size)]
+
+    def monomial(j):
+        return Poly([0] * j + [1], field)
+
+    columns = ([column(monomial(j).derivative() * s - monomial(j) * t)
+                for j in range(e.degree)]
+               + [column(monomial(j) * e) for j in range(s.degree)])
+    rows = [[col[r] for col in columns] for r in range(size)]
+    solution = _solve_linear(rows, column(proper_num))
+    h = RatFun(Poly(solution[:e.degree], field), e)
+    return h, (RatFun.from_poly(poly_part)
+               + RatFun(Poly(solution[e.degree:], field), s))
+
+
+def hermite_inputs(rng):
+    """Random functions, repeated factors up to multiplicity 5 (linear,
+    irreducible quadratic and cubic blocks), polynomial parts, squarefree
+    denominators, constants and zero."""
+    blocks = [P("z - 2"), P("z + 1/3"), P("z^2 + 1"), P("z^2 + z + 7"),
+              P("z^3 - 2"), P("z^3 + z + 1")]
+    inputs = [R("0"), R("5"), R("-3/7"), R("z^3 - 2*z"),
+              R("1/(z^2 + 1)"), R("(z^4 + 1)/(z^3 - 2)")]
+    inputs += [random_ratfun(rng, max_degree=5) for _ in range(80)]
+    for _ in range(80):
+        den = Poly.one(QQ)
+        for block in rng.sample(blocks, rng.randint(1, 3)):
+            den = den * block ** rng.randint(1, 5)
+        extra = rng.randint(-2, 3)  # > 0: a polynomial part
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(max(1, den.degree + extra))]
+        inputs.append(RatFun(Poly(coeffs, QQ), den))
+    for _ in range(20):  # squarefree denominators
+        den = Poly.one(QQ)
+        for block in rng.sample(blocks, rng.randint(1, 4)):
+            den = den * block
+        inputs.append(RatFun(Poly([rng.randint(-9, 9) for _ in range(
+            den.degree + rng.randint(-1, 2))], QQ), den))
+    return inputs
+
+
+def test_hermite_matches_ostrogradsky_reference(rng=random.Random(8086)):
+    for g in hermite_inputs(rng):
+        h, remainder = hermite_reduce(g)
+        assert (h, remainder) == reference_hermite(g), str(g)
+        assert h.is_zero or h.num.degree < h.den.degree
+
+
+def test_hermite_matches_sympy_ratint_ratpart(rng=random.Random(6502)):
+    sympy = pytest.importorskip("sympy")
+    from sympy.integrals.rationaltools import ratint_ratpart
+    z = sympy.Symbol("z")
+
+    def to_sympy(poly):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(poly.coeffs)], z)
+
+    def from_sympy(expr):
+        num, den = sympy.fraction(sympy.cancel(expr))
+        return RatFun(*(Poly([Fraction(int(c.p), int(c.q)) for c in reversed(
+            sympy.Poly(e, z).all_coeffs())], QQ) for e in (num, den)))
+
+    checked = 0
+    for g in hermite_inputs(rng):
+        proper = g.num % g.den
+        if proper.is_zero or g.den.degree > 8:  # sympy's solve is slow
+            continue
+        rational, logarithmic = ratint_ratpart(
+            to_sympy(proper), to_sympy(g.den), z)
+        h, remainder = hermite_reduce(RatFun(proper, g.den))
+        assert h == from_sympy(rational), str(g)
+        assert remainder == from_sympy(logarithmic), str(g)
+        checked += 1
+    assert checked > 100
+
+
 def test_hermite_char_p_rejected():
     with pytest.raises(ValueError):
         hermite_reduce(R("z", PrimeField(3)))
