@@ -47,7 +47,7 @@ class DioSystem:
     """Polynomial system F_1..F_r over F_p[z] in x- and y-variables.
 
     Each polynomial is a sparse map from exponent vectors (length n + m,
-    x-block first) to coefficients in F_p[z].
+    entries >= 0, x-block first) to coefficients in F_p[z].
     """
 
     field: PrimeField
@@ -63,6 +63,9 @@ class DioSystem:
                 if len(exponents) != self.n + self.m:
                     raise ValueError(
                         f"exponent vector {exponents} has wrong length")
+                if min(exponents, default=0) < 0:
+                    raise ValueError(
+                        f"exponent vector {exponents} has a negative entry")
                 if coeff.field != self.field:
                     raise ValueError("coefficient field mismatch")
 

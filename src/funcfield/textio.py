@@ -6,14 +6,15 @@ operators + - * / ^ (also **), and parentheses, e.g. "3/4*z^2 - z + 1" or
 nonzero subexpressions.  Any variable other than z is rejected, as is any
 non-univariate input.
 
-Expressions evaluate in exact rational-function arithmetic over the given
-field, so "1/z^2 - 2 + z^2" and "(1 - z^2)^2/z^2" parse to the same value.
+Expressions evaluate to (numerator, denominator) pairs of polynomials with
+one cancellation at the end, so "1/z^2 - 2 + z^2" and "(1 - z^2)^2/z^2"
+parse to the same value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .fields import Field, QQ
 from .poly import Poly
@@ -38,9 +39,9 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -70,6 +71,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.one = Poly.one(field)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -85,41 +87,49 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
 
-    def parse(self) -> RatFun:
+    def times(self, a: Poly, b: Poly) -> Poly:
+        """a * b, skipping a factor equal to one."""
+        return b if a == self.one else a if b == self.one else a * b
+
+    def parse(self) -> Tuple[Poly, Poly]:
         value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
-    def expr(self) -> RatFun:
-        value = self.term()
+    def expr(self) -> Tuple[Poly, Poly]:
+        num, den = self.term()
         while True:
             kind, op, _ = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                rnum, rden = self.term()
+                rnum = rnum if op == "+" else -rnum
+                if den == rden:
+                    num = num + rnum
+                else:
+                    num = self.times(num, rden) + self.times(rnum, den)
+                    den = self.times(den, rden)
             else:
-                return value
+                return num, den
 
-    def term(self) -> RatFun:
-        value = self.unary()
+    def term(self) -> Tuple[Poly, Poly]:
+        num, den = self.unary()
         while True:
             kind, op, pos = self.peek()
             if kind == "op" and op in "*/":
                 self.advance()
-                rhs = self.unary()
-                if op == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
+                rnum, rden = self.unary()
+                if op == "/":
+                    if rnum.is_zero:
                         raise ParseError("division by zero", pos)
-                    value = value / rhs
+                    rnum, rden = rden, rnum
+                num, den = self.times(num, rnum), self.times(den, rden)
             else:
-                return value
+                return num, den
 
-    def unary(self) -> RatFun:
+    def unary(self) -> Tuple[Poly, Poly]:
         sign = 1
         while True:
             kind, op, _ = self.peek()
@@ -129,19 +139,21 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        value = self.power()
-        return -value if sign < 0 else value
+        num, den = self.power()
+        return (-num, den) if sign < 0 else (num, den)
 
-    def power(self) -> RatFun:
-        base = self.atom()
+    def power(self) -> Tuple[Poly, Poly]:
+        num, den = self.atom()
         kind, op, pos = self.peek()
         if kind == "op" and op == "^":
             self.advance()
             exponent = self.exponent()
-            if exponent < 0 and base.is_zero:
-                raise ParseError("negative power of zero", pos)
-            return base ** exponent
-        return base
+            if exponent < 0:
+                if num.is_zero:
+                    raise ParseError("negative power of zero", pos)
+                num, den, exponent = den, num, -exponent
+            return num ** exponent, den ** exponent
+        return num, den
 
     def exponent(self) -> int:
         sign = 1
@@ -156,16 +168,16 @@ class _Parser:
         self.advance()
         return sign * value
 
-    def atom(self) -> RatFun:
+    def atom(self) -> Tuple[Poly, Poly]:
         kind, value, pos = self.advance()
         if kind == "int":
-            return RatFun.constant(self.field.coerce(value), self.field)
+            return Poly.constant(value, self.field), self.one
         if kind == "name":
             if value != "z":
                 raise ParseError(
                     f"unknown variable {value!r}; only univariate input in z "
                     "is accepted", pos)
-            return RatFun.gen(self.field)
+            return Poly.gen(self.field), self.one
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -173,17 +185,26 @@ class _Parser:
         raise ParseError("expected a number, z, or '('", pos)
 
 
+def _quotient(text: str, field: Field) -> Optional[Poly]:
+    """The parsed value as a polynomial, or None if it is not one."""
+    num, den = _Parser(text, field).parse()
+    if den.degree == 0:
+        return num if den.is_monic else num.scale(1 / den.lc)
+    quot, rem = divmod(num, den)
+    return None if rem else quot
+
+
 def parse_ratfun(text: str, field: Field = QQ) -> RatFun:
     """Parse text into a rational function over the given field."""
-    return _Parser(text, field).parse()
+    return RatFun(*_Parser(text, field).parse())
 
 
 def parse_poly(text: str, field: Field = QQ) -> Poly:
     """Parse text that must denote a polynomial."""
-    f = parse_ratfun(text, field)
-    if f.den.degree != 0:
+    value = _quotient(text, field)
+    if value is None:
         raise ParseError(f"{text!r} is not a polynomial", 0)
-    return f.num
+    return value
 
 
 def parse_point(text: str, field: Field = QQ):
@@ -191,10 +212,10 @@ def parse_point(text: str, field: Field = QQ):
     stripped = text.strip()
     if stripped in _INFINITY_TOKENS:
         return INFINITY
-    f = parse_ratfun(stripped, field)
-    if not f.is_constant:
+    value = _quotient(stripped, field)
+    if value is None or not value.is_constant:
         raise ParseError(f"{text!r} is not a constant point", 0)
-    return f.num.coefficient(0)
+    return value.coefficient(0)
 
 
 def parse_rational(text: str) -> Fraction:

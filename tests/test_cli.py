@@ -163,6 +163,21 @@ def test_parse_error_reports_position_and_exit_2():
     assert "position 4" in report.outputs["error"]
 
 
+@pytest.mark.parametrize("terms,beta", [
+    ([([-1, 0], "1"), ([0, 1], "1")], 0),
+    ([([1, 0], "1"), ([0, -1], "z")], 1),
+])
+def test_negative_exponents_exit_2(terms, beta):
+    """A negative exponent in either block is an input error, not a power
+    looked up from the end of the slicer's power cache."""
+    system = json.dumps({"p": 2, "n": 1, "m": 1, "polys": [[
+        {"exponents": e, "coeff": c} for e, c in terms]]})
+    report = dispatch(["slice", "--system", system,
+                       "--alpha", "1", "--beta", str(beta)])
+    assert report.exit_code == 2
+    assert "negative" in report.outputs["error"]
+
+
 def test_budget_error_reports_required_count():
     report = dispatch(["slice", "--system", SQUARE_SYSTEM,
                        "--alpha", "2", "--beta", "1",

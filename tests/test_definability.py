@@ -238,6 +238,12 @@ def test_system_json_roundtrip():
     assert DioSystem.from_json(system.to_json()) == system
 
 
+@pytest.mark.parametrize("exponents", [(-1, 0), (0, -1), (2, -3)])
+def test_negative_exponents_are_rejected(exponents):
+    with pytest.raises(ValueError, match="negative"):
+        single_equation_system(2, 1, 1, [(exponents, "1"), ((0, 1), "1")])
+
+
 # -- zero sets ----------------------------------------------------------------
 
 

@@ -1,0 +1,81 @@
+"""Hypothesis properties of the text syntax: printed values re-parse to
+themselves, and "(a) op (b)" parses to a op b."""
+
+import operator
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from funcfield.fields import PrimeField, QQ  # noqa: E402
+from funcfield.poly import Poly  # noqa: E402
+from funcfield.ratfun import RatFun  # noqa: E402
+from funcfield.textio import ParseError, parse_poly, parse_ratfun  # noqa: E402
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(97)]
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+# fixed examples and no example database, so runs repeat and leave no files
+examples = settings(deadline=None, max_examples=60, derandomize=True,
+                    database=None)
+
+
+def coefficients(field):
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.fractions(max_denominator=12).filter(
+        lambda c: abs(c) <= 50)
+
+
+@st.composite
+def polys(draw, field, max_degree=5):
+    cs = draw(st.lists(coefficients(field), max_size=max_degree + 1))
+    return Poly(cs, field)
+
+
+@st.composite
+def ratfuns(draw, field):
+    den = draw(polys(field, 4).filter(lambda p: not p.is_zero))
+    return RatFun(draw(polys(field)), den)
+
+
+fields = st.sampled_from(FIELDS)
+
+
+@examples
+@given(st.data(), fields)
+def test_printed_polynomials_reparse(data, field):
+    p = data.draw(polys(field))
+    assert parse_poly(str(p), field) == p
+
+
+@examples
+@given(st.data(), fields)
+def test_printed_rational_functions_reparse(data, field):
+    f = data.draw(ratfuns(field))
+    assert parse_ratfun(str(f), field) == f
+
+
+@examples
+@given(st.data(), fields, st.sampled_from("+-*/"))
+def test_binary_operation_text_parses_to_the_operation(data, field, op):
+    a, b = data.draw(ratfuns(field)), data.draw(ratfuns(field))
+    text = f"({a}) {op} ({b})"
+    if op == "/" and b.is_zero:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_ratfun(text, field)
+        return
+    assert parse_ratfun(text, field) == OPS[op](a, b)
+
+
+@examples
+@given(st.fractions(max_denominator=1000), st.integers(-3, 3))
+def test_rational_powers_parse_exactly(c, n):
+    if c == 0 and n < 0:
+        with pytest.raises(ParseError, match="negative power of zero"):
+            parse_ratfun(f"({c})^{n}")
+        return
+    assert parse_ratfun(f"({c})^{n}") == RatFun.constant(Fraction(c) ** n)
