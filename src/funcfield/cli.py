@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import analytic
 from .definability import (DEFAULT_CANDIDATE_BUDGET, BudgetError, DioSystem,
@@ -100,25 +100,43 @@ def _load_system(source: str) -> DioSystem:
     return DioSystem.from_json(json.loads(text))
 
 
-# -- the command table --------------------------------------------------------
-# `_command` declares a subcommand once, on its handler: name, help, arguments.
-# A handler fills `inputs` with the canonical inputs from the parsed `args`
-# and returns the outputs, or (outputs, ok) for a verification suite.
+# -- the command registry -----------------------------------------------------
+# One parser, built at import: `_command` registers a subcommand on it once,
+# on its handler (name, help, arguments), and the handler becomes the
+# subcommand's `run` default.  A handler fills `inputs` with the canonical
+# inputs from the parsed `args` and returns the outputs, or (outputs, ok)
+# for a verification suite.
 
 
-@dataclass(frozen=True)
-class _Command:
-    help: str
-    arguments: tuple
-    run: Callable
+def _output_flags(default) -> argparse.ArgumentParser:
+    # The flags are registered twice with distinct action objects: on the
+    # main parser with real defaults, and on every subparser with SUPPRESS
+    # so a subcommand cannot clobber flags given before the command name.
+    holder = argparse.ArgumentParser(add_help=False)
+    holder.add_argument("--json", action="store_true", default=default,
+                        help="emit a JSON report")
+    holder.add_argument("--stable", action="store_true", default=default,
+                        help="suppress the timing field for "
+                             "byte-stable output")
+    return holder
 
 
-_COMMANDS: Dict[str, _Command] = {}
+_PARSER = argparse.ArgumentParser(
+    prog="funcfield",
+    parents=[_output_flags(False)],
+    description="Exact arithmetic over k(z): degrees, divisors, the "
+                "reference elliptic surface, a computable transcendental "
+                "function, and Diophantine slice enumeration.")
+_COMMON = _output_flags(argparse.SUPPRESS)
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
 
 
 def _command(name: str, help_text: str, *arguments):
     def register(run):
-        _COMMANDS[name] = _Command(help_text, arguments, run)
+        sub = _SUBPARSERS.add_parser(name, help=help_text, parents=[_COMMON])
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(run=run)
         return run
     return register
 
@@ -386,36 +404,13 @@ for _name in ALL_SUITES:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The flags are registered twice with distinct action objects: on the
-    # main parser with real defaults, and on every subparser with SUPPRESS
-    # so a subcommand cannot clobber flags given before the command name.
-    def output_flags(default) -> argparse.ArgumentParser:
-        holder = argparse.ArgumentParser(add_help=False)
-        holder.add_argument("--json", action="store_true", default=default,
-                            help="emit a JSON report")
-        holder.add_argument("--stable", action="store_true", default=default,
-                            help="suppress the timing field for "
-                                 "byte-stable output")
-        return holder
-
-    parser = argparse.ArgumentParser(
-        prog="funcfield",
-        parents=[output_flags(False)],
-        description="Exact arithmetic over k(z): degrees, divisors, the "
-                    "reference elliptic surface, a computable transcendental "
-                    "function, and Diophantine slice enumeration.")
-    common = output_flags(argparse.SUPPRESS)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=command.help, parents=[common])
-        for flags, options in command.arguments:
-            sub.add_argument(*flags, **options)
-    return parser
+    """The program's parser, with every subcommand registered at import."""
+    return _PARSER
 
 
 def _run_command(args) -> Report:
     inputs: dict = {}
-    result = _COMMANDS[args.command].run(args, inputs)
+    result = args.run(args, inputs)
     outputs, ok = result if isinstance(result, tuple) else (result, None)
     return Report(args.command, inputs, outputs, ok)
 

@@ -115,7 +115,7 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
     if q.is_identity:
         return p
     if p.x == q.x:
-        if not (p.y + q.y):
+        if p.y == -q.y:
             return ECPoint.identity()
         slope = (3 * p.x ** 2 + curve.A) / (2 * p.y)
     else:

@@ -111,9 +111,6 @@ class RatFun:
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Poly)):
-            coerced = self._coerce(other)
-            return coerced is not None and self == coerced
         return (isinstance(other, RatFun) and self.field == other.field
                 and self.num == other.num and self.den == other.den)
 

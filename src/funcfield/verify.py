@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import analytic
 from .definability import (DioSystem, enumerate_slice, slice_union,
@@ -59,12 +59,13 @@ class SuiteResult:
 
 
 def random_poly(rng: random.Random, max_degree: int, field: Field = QQ,
-                coeff_bound: int = 9, nonzero: bool = False) -> Poly:
+                nonzero: bool = False) -> Poly:
+    """Random polynomial of degree <= max_degree; over Q the coefficients
+    lie in [-9, 9]."""
     while True:
         degree = rng.randint(0, max_degree)
         if field.characteristic == 0:
-            coeffs = [rng.randint(-coeff_bound, coeff_bound)
-                      for _ in range(degree + 1)]
+            coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
         else:
             coeffs = [rng.randrange(field.characteristic)
                       for _ in range(degree + 1)]
@@ -83,9 +84,9 @@ def random_ratfun(rng: random.Random, max_degree: int = 5,
     return f
 
 
-def random_divisor(rng: random.Random, with_infinity: Optional[bool] = None,
-                   ) -> Divisor:
-    """Random effective divisor from coprime linear/quadratic blocks."""
+def random_divisor(rng: random.Random) -> Divisor:
+    """Random effective divisor from coprime linear/quadratic blocks, with
+    infinity in its support half the time."""
     pairs = []
     roots = rng.sample(range(-6, 7), rng.randint(1, 3))
     for a in roots:
@@ -93,9 +94,7 @@ def random_divisor(rng: random.Random, with_infinity: Optional[bool] = None,
     if rng.random() < 0.5:
         c = rng.randint(1, 6)
         pairs.append((Place.finite(Poly([c, 0, 1], QQ)), rng.randint(1, 3)))
-    if with_infinity is None:
-        with_infinity = rng.random() < 0.5
-    if with_infinity:
+    if rng.random() < 0.5:
         pairs.append((Place.infinity(), rng.randint(1, 4)))
     return Divisor(pairs)
 

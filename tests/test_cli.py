@@ -223,6 +223,29 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_requests_share_the_one_parser(capsys, monkeypatch):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["--json", "--stable", "deg", "--f", "z"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["degree"] == 1
+    # --json from the previous request must not leak into this one
+    assert main(["deg", "--f", "z"]) == 0
+    assert capsys.readouterr().out.startswith("command: deg\n")
+    report = dispatch(["zero-set", "--p", "5", "--poly", "z", "--poly", "z+1"])
+    assert report.inputs["polys"] == ["z", "z + 1"]
+    # the append default is not shared between requests
+    report = dispatch(["zero-set", "--p", "5", "--poly", "z+2"])
+    assert report.inputs["polys"] == ["z + 2"]
+    assert report.outputs["roots"] == ["3"]
+    assert constructed == []
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -232,6 +232,16 @@ def test_canonical_form_idempotent():
     assert poly_gcd(raw.num, raw.den).degree == 0
 
 
+def test_ratfun_equality_is_symmetric_and_agrees_with_hash():
+    z = P("z")
+    for value, other in ((RatFun.from_poly(z), z), (RatFun.one(QQ), 1),
+                         (RatFun.constant(Fraction(1, 2)), Fraction(1, 2))):
+        assert value != other and other != value
+        assert len({value, other}) == 2
+    built = RatFun(P("z^2 - z"), P("z - 1"))
+    assert built == RatFun.from_poly(z) and hash(built) == hash(R("z"))
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFun(P("z"), Poly.zero(QQ))
