@@ -14,9 +14,17 @@ function
 
 is analytic on C, maps Q into Q, and is exactly computable at rationals:
 at t = a the factor (q_m - a^2) with m = square_index(a) kills every term
-from index m on, leaving a finite sum.  Interval evaluation encloses f on a
-rational interval by exact interval arithmetic on a partial sum plus a
-truncated-exponential tail majorant.
+from index m on, leaving a finite sum of m - 1 terms.  That sum is taken by
+binary splitting over integers (Haible-Papanikolaou), so its cost is a few
+big-int products and one final gcd, not a gcd per term.  Interval
+evaluation encloses f on a rational interval by exact interval arithmetic
+on a partial sum plus a truncated-exponential tail majorant.
+
+Every entry point knows the number of terms it will sum before it sums
+any (m - 1 for `eval_exact`, the explicit and tail terms for
+`eval_interval`, cutoff/2 plus a buffer for `series_of_g`, count - 1 for
+the last of the `graph_points`), and raises `BudgetError` when that
+exceeds `max_terms` (default DEFAULT_TERM_BUDGET).
 
 All functions are stateless and pure.
 """
@@ -26,11 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterator, List, Tuple
 
+from .budget import BudgetError
 from .fields import QQ
 from .poly import Poly
+
+DEFAULT_TERM_BUDGET = 1000
 
 
 def cw_rational(i: int) -> Fraction:
@@ -99,14 +110,24 @@ def square_index(a) -> int:
     return cw_index(abs(a)) + 1
 
 
-def _terms() -> Iterator[Tuple[int, Fraction, int]]:
-    """(n, q_n, A_n) for n = 1, 2, ..., with A_n from the running product
-    of the q_i + 1."""
-    product = Fraction(1)
+def _terms() -> Iterator[Tuple[int, int, int, int]]:
+    """(n, s_n, r_n, A_n) for n = 1, 2, ..., with q_n = s_n / r_n in lowest
+    terms and A_n = 1 + ceil(N_n / D_n) from the unreduced running products
+    N_n = prod (s_i + r_i) and D_n = prod r_i."""
+    top, bottom = 1, 1
+    c, d = 0, 1  # the enumerated rational c/d, so q_n = c^2/d^2
     for n in count(1):
-        qn = q_n(n)
-        product *= qn + 1
-        yield n, qn, 1 + -((-product.numerator) // product.denominator)
+        s, r = c * c, d * d
+        top *= s + r
+        bottom *= r
+        yield n, s, r, 1 - (-top // bottom)
+        # Newman's successor 1/(2 floor(x) + 1 - x) walks Calkin-Wilf order
+        c, d = d, (2 * (c // d) + 1) * d - c
+
+
+def _refuse_over(required: int, max_terms: int) -> None:
+    if required > max_terms:
+        raise BudgetError(required, max_terms, "evaluation", "series terms")
 
 
 def a_bound(n: int) -> int:
@@ -118,25 +139,53 @@ def a_bound(n: int) -> int:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    return next(islice(_terms(), n - 1, None))[2]
+    return next(islice(_terms(), n - 1, None))[3]
 
 
-def eval_exact(a) -> Fraction:
+def eval_exact(a, max_terms: int = DEFAULT_TERM_BUDGET) -> Fraction:
     """f(a) for rational a: the finite sum of the terms below square_index(a).
 
-    Cost scales with the enumeration index of a (the sum has
-    square_index(a) - 1 terms with factorial denominators), so arguments
-    deep in the Calkin-Wilf order are exact but expensive.
+    The sum has m - 1 terms for m = square_index(a), which is known before
+    any work: above max_terms it raises BudgetError(required=m - 1).  With
+    a = u/v and q_n = s_n/r_n, term n is (1/A_n) prod_{k<=n} p_k/q_k for
+    the integers p_k = s_k v^2 - u^2 r_k and q_k = r_k v^2 2k(2k-1); the
+    sum is taken by binary splitting and reduced once, so its cost is a
+    few products of big ints and one gcd of the result's size (at index
+    400 the reduced denominator has about 120k bits).
     """
     a = Fraction(a)
-    m = square_index(a)
-    a2 = a * a
-    total = Fraction(0)
-    product = Fraction(1)
-    for n, qn, a_n in islice(_terms(), m - 1):
-        product *= qn - a2
-        total += product / (factorial(2 * n) * a_n)
-    return total
+    required = square_index(a) - 1
+    _refuse_over(required, max_terms)
+    if not required:
+        return Fraction(0)
+    u2, v2 = a.numerator ** 2, a.denominator ** 2
+    nodes = []
+    for n, s, r, a_n in islice(_terms(), required):
+        p = s * v2 - u2 * r
+        nodes.append((p, r * v2 * (2 * n) * (2 * n - 1), a_n, p))
+    _, q, b, t = _binary_split(nodes)
+    return Fraction(t, b * q)
+
+
+def _binary_split(nodes: list) -> Tuple[int, int, int, int]:
+    """Merge the leaves (p_n, q_n, b_n, p_n) of sum_n (1/b_n) prod_{k<=n}
+    p_k/q_k into one (P, Q, B, T) with sum = T / (B Q).
+
+    Adjacent nodes merge level by level, bottom-up and in place, so each
+    level frees the one below it: P = P1 P2, Q = Q1 Q2, B = B1 B2 and
+    T = B2 Q2 T1 + B1 P1 T2.
+    """
+    while len(nodes) > 1:
+        half, odd = divmod(len(nodes), 2)
+        for i in range(half):
+            p1, q1, b1, t1 = nodes[2 * i]
+            p2, q2, b2, t2 = nodes[2 * i + 1]
+            nodes[i] = (p1 * p2, q1 * q2, b1 * b2,
+                        b2 * q2 * t1 + b1 * p1 * t2)
+        if odd:
+            nodes[half] = nodes[-1]
+        del nodes[half + odd:]
+    return nodes[0]
 
 
 @dataclass(frozen=True)
@@ -187,39 +236,62 @@ class RatInterval:
         return self.lo <= value <= self.hi
 
 
-def _tail_bound(m: Fraction, n_from: int) -> Fraction:
+def _tail_end(m: Fraction, n_from: int) -> int:
+    """The first n >= n_from with (M^2 + 1) / ((2n+1)(2n+2)) < 1/2.
+
+    (2n+1)(2n+2) is an integer, so the test is against the integer
+    bound = floor(2(M^2 + 1)).  From n0 = isqrt(bound) // 2 the loop steps
+    at most twice, and n0 is never past the answer: n0 - 1 still passes
+    the test, since (2n0 - 1) 2n0 < (2n0)^2 <= bound.
+    """
+    bound = 2 * (m * m + 1)
+    bound = bound.numerator // bound.denominator
+    n = max(n_from, isqrt(bound) // 2)
+    while (2 * n + 1) * (2 * n + 2) <= bound:
+        n += 1
+    return n
+
+
+def _tail_bound(m: Fraction, n_from: int, n_end: int) -> Fraction:
     """Exact majorant of sum_{n >= n_from} (M^{2n} + 1) / (2n)!.
 
     Uses u_{n+1} <= u_n * (M^2 + 1) / ((2n+1)(2n+2)); explicit terms are
-    added until the ratio drops below 1/2, then the rest is a geometric
-    series bounded by twice the next term.
+    added for n_from <= n < n_end = _tail_end(m, n_from), where the ratio
+    drops below 1/2, then the rest is a geometric series bounded by twice
+    the next term.
     """
-    m2_plus = m * m + 1
-
     def term(n: int) -> Fraction:
         return (m ** (2 * n) + 1) / factorial(2 * n)
 
     total = Fraction(0)
-    n = n_from
-    while m2_plus / ((2 * n + 1) * (2 * n + 2)) >= Fraction(1, 2):
+    for n in range(n_from, n_end):
         total += term(n)
-        n += 1
-    return total + 2 * term(n)
+    return total + 2 * term(n_end)
 
 
-def eval_interval(lo, hi, n_terms: int) -> RatInterval:
-    """Certified enclosure of f on [lo, hi] from n_terms explicit terms."""
+def eval_interval(lo, hi, n_terms: int,
+                  max_terms: int = DEFAULT_TERM_BUDGET) -> RatInterval:
+    """Certified enclosure of f on [lo, hi] from n_terms explicit terms.
+
+    The tail majorant adds terms up to index _tail_end(M, n_terms + 1) for
+    M = max(|lo|, |hi|), about M/sqrt(2) of them for large M; above
+    max_terms that index is raised as BudgetError(required) before any
+    term is summed.
+    """
     if n_terms < 1:
         raise ValueError("need at least one explicit term")
     x = RatInterval(Fraction(lo), Fraction(hi))
+    m = max(abs(x.lo), abs(x.hi))
+    n_end = _tail_end(m, n_terms + 1)
+    _refuse_over(n_end, max_terms)
     x2 = x.square()
     partial = RatInterval.point(0)
     product = RatInterval.point(1)
-    for n, qn, a_n in islice(_terms(), n_terms):
+    for n, s, r, a_n in islice(_terms(), n_terms):
+        qn = Fraction(s, r)
         product = product * RatInterval(qn - x2.hi, qn - x2.lo)
         partial = partial + product.scale(Fraction(1, factorial(2 * n) * a_n))
-    m = max(abs(x.lo), abs(x.hi))
-    return partial.widen(_tail_bound(m, n_terms + 1))
+    return partial.widen(_tail_bound(m, n_terms + 1, n_end))
 
 
 @dataclass(frozen=True)
@@ -238,24 +310,27 @@ class TruncatedSeries:
 _SERIES_BUFFER = 8
 
 
-def series_of_g(cutoff: int) -> TruncatedSeries:
+def series_of_g(cutoff: int,
+                max_terms: int = DEFAULT_TERM_BUDGET) -> TruncatedSeries:
     """Truncated expansion of g(t) = f(it) = sum P_n^+(t) / ((2n)! A_n).
 
     P_n^+(t) = (q_1 + t^2) ... (q_n + t^2), so the series is even with
     non-negative contributions; the sum runs over n <= cutoff/2 + buffer and
     is truncated at the even cutoff degree.  Odd coefficients are exactly 0,
     the constant term is 0 (q_1 = 0), and every even coefficient of degree
-    2..cutoff is strictly positive.
+    2..cutoff is strictly positive.  Above max_terms, the cutoff/2 + buffer
+    terms raise BudgetError.
     """
     if cutoff < 2 or cutoff % 2:
         raise ValueError("cutoff must be an even integer >= 2")
     half = cutoff // 2
+    _refuse_over(half + _SERIES_BUFFER, max_terms)
     # polynomials in the variable t^2, summed untruncated: the degrees past
     # half never feed the coefficients below it
     acc = Poly.zero(QQ)
     product = Poly.one(QQ)
-    for n, qn, a_n in islice(_terms(), half + _SERIES_BUFFER):
-        product = product * Poly((qn, 1), QQ)
+    for n, s, r, a_n in islice(_terms(), half + _SERIES_BUFFER):
+        product = product * Poly((Fraction(s, r), 1), QQ)
         acc = acc + product.scale(Fraction(1, factorial(2 * n) * a_n))
     coefficients = [Fraction(0)] * (cutoff + 1)
     for j in range(half + 1):
@@ -263,12 +338,18 @@ def series_of_g(cutoff: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coefficients), cutoff)
 
 
-def graph_points(count: int) -> List[Tuple[Fraction, Fraction]]:
-    """The first `count` points (a, f(a)) along the fixed enumeration."""
+def graph_points(count: int, max_terms: int = DEFAULT_TERM_BUDGET
+                 ) -> List[Tuple[Fraction, Fraction]]:
+    """The first `count` points (a, f(a)) along the fixed enumeration.
+
+    The last point sums count - 1 terms; above max_terms that raises
+    BudgetError before any point is evaluated.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    return [(enumerated_rational(n), eval_exact(enumerated_rational(n)))
-            for n in range(1, count + 1)]
+    _refuse_over(count - 1, max_terms)
+    points = [enumerated_rational(n) for n in range(1, count + 1)]
+    return [(a, eval_exact(a, max_terms)) for a in points]
 
 
 def product_bound_holds(re, im, n: int) -> bool:

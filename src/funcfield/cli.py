@@ -6,7 +6,7 @@ Output is plain text by default and JSON under --json; with --stable the
 timing field is suppressed so identical invocations produce identical bytes.
 
 Exit codes: 0 on success (and on verification pass), 1 on verification
-failure or exceeded enumeration budget, 2 on usage or input errors.
+failure or an exceeded candidate or term budget, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from math import inf
 from typing import Optional, Tuple
 
 from . import analytic
-from .definability import (DEFAULT_CANDIDATE_BUDGET, BudgetError, DioSystem,
+from .budget import BudgetError
+from .definability import (DEFAULT_CANDIDATE_BUDGET, DioSystem,
                            enumerate_slice, frobenius_decompose,
                            hermite_reduce, is_derivative, slice_union,
                            zero_set)
@@ -151,6 +152,10 @@ _G = _arg("--g", required=True)
 _N = _arg("--n", type=int, required=True)
 _P = _arg("--p", type=int, required=True)
 _N_MAX = _arg("--n-max", type=int, default=8, dest="n_max")
+_MAX_TERMS = _arg("--max-terms", type=int, dest="max_terms",
+                  default=analytic.DEFAULT_TERM_BUDGET,
+                  help="refuse (exit 1) above this many series terms "
+                       f"(default {analytic.DEFAULT_TERM_BUDGET})")
 _CURVE = (_arg("--A", default="z", help="curve coefficient A (default z)"),
           _arg("--B", default="1", help="curve coefficient B (default 1)"),
           _arg("--x", default="0", help="base point x (default 0)"),
@@ -323,17 +328,18 @@ def _ec_growth(args, inputs):
           _arg("--lo", help="interval lower endpoint"),
           _arg("--hi", help="interval upper endpoint"),
           _arg("--N", type=int, default=6,
-               help="explicit terms for interval mode"))
+               help="explicit terms for interval mode"),
+          _MAX_TERMS)
 def _eval_f(args, inputs):
     if args.a is not None:
         a = parse_rational(args.a)
         inputs["a"] = str(a)
-        return {"value": str(analytic.eval_exact(a))}
+        return {"value": str(analytic.eval_exact(a, args.max_terms))}
     if args.lo is None or args.hi is None:
         raise ParseError("eval-f needs --a or both --lo and --hi", 0)
     lo, hi = parse_rational(args.lo), parse_rational(args.hi)
     inputs["lo"], inputs["hi"], inputs["N"] = str(lo), str(hi), args.N
-    enclosure = analytic.eval_interval(lo, hi, args.N)
+    enclosure = analytic.eval_interval(lo, hi, args.N, args.max_terms)
     return {"lo": str(enclosure.lo), "hi": str(enclosure.hi)}
 
 
@@ -347,11 +353,11 @@ def _series_g(args, inputs):
 
 
 @_command("graph-points", "first points (a, f(a)) of the fixed enumeration",
-          _arg("--count", type=int, required=True))
+          _arg("--count", type=int, required=True), _MAX_TERMS)
 def _graph_points(args, inputs):
     inputs["count"] = args.count
-    return {"points": [[str(a), str(value)]
-                       for a, value in analytic.graph_points(args.count)]}
+    points = analytic.graph_points(args.count, args.max_terms)
+    return {"points": [[str(a), str(value)] for a, value in points]}
 
 
 @_command("slice", "enumerate a Diophantine slice over F_p",

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .budget import BudgetError
 from .fields import FpElement, PrimeField, same_field
 from .poly import (Poly, _add, _divmod, _gcd, _mul, _powmod, _trim,
                    poly_gcd)
@@ -29,17 +30,6 @@ from .ratfun import RatFun
 from .textio import parse_poly
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
-
-
-class BudgetError(RuntimeError):
-    """The slice would need more candidate tuples than the budget allows."""
-
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs {required} candidate tuples "
-            f"(budget {budget})")
 
 
 @dataclass(frozen=True)
@@ -182,7 +172,8 @@ def enumerate_slice(system: DioSystem, alpha: int, beta: int,
     required = system.field.p ** ((alpha + 1) * system.n
                                   + (beta + 1) * system.m)
     if required > max_candidates:
-        raise BudgetError(required, max_candidates)
+        raise BudgetError(required, max_candidates, "enumeration",
+                          "candidate tuples")
     p, n, m = system.field.p, system.n, system.m
     no_y = (0,) * m
     equations = []  # per equation: {b: [(x-exponents a, coefficient)]}
@@ -341,7 +332,8 @@ def zero_set(polys, field: Optional[PrimeField] = None) -> frozenset:
     p = field.p
     if any(f.is_zero for f in polys):
         if p > DEFAULT_CANDIDATE_BUDGET:
-            raise BudgetError(p, DEFAULT_CANDIDATE_BUDGET)
+            raise BudgetError(p, DEFAULT_CANDIDATE_BUDGET, "enumeration",
+                              "candidate tuples")
         return frozenset(field.elements())
     roots = set()
     for f in polys:

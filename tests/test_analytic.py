@@ -3,12 +3,14 @@
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import factorial
 
 import pytest
 
 from funcfield import analytic as an
+from funcfield import definability
+from funcfield.budget import BudgetError
 
 
 # -- Calkin-Wilf enumeration -------------------------------------------------
@@ -73,7 +75,28 @@ def test_enumeration_completeness_desk_scale():
                 assert seen[a * a] == m
 
 
+def test_terms_walk_the_enumeration():
+    for n, s, r, _ in islice(an._terms(), 500):
+        assert Fraction(s, r) == an.q_n(n)
+        assert (s, r) == (an.q_n(n).numerator, an.q_n(n).denominator)
+
+
 # -- coefficient bounds --------------------------------------------------------
+
+
+def reference_terms():
+    """(n, q_n, A_n) with A_n from a running, reduced Fraction product."""
+    product = Fraction(1)
+    for n in count(1):
+        qn = an.q_n(n)
+        product *= qn + 1
+        yield n, qn, 1 + -((-product.numerator) // product.denominator)
+
+
+def test_a_bound_matches_the_fraction_ceiling():
+    expected = [a_n for _, _, a_n in islice(reference_terms(), 200)]
+    assert [an.a_bound(n) for n in range(1, 201)] == expected
+    assert [a_n for *_, a_n in islice(an._terms(), 200)] == expected
 
 
 def test_a_bound_values():
@@ -94,6 +117,33 @@ def test_product_bound_certificate(rng=random.Random(314159)):
 
 
 # -- exact evaluation ----------------------------------------------------------
+
+
+def reference_eval_exact(a):
+    """f(a) term by term: a running Fraction product and a Fraction sum."""
+    a = Fraction(a)
+    a2 = a * a
+    total = Fraction(0)
+    product = Fraction(1)
+    for n, qn, a_n in islice(reference_terms(), an.square_index(a) - 1):
+        product *= qn - a2
+        total += product / (factorial(2 * n) * a_n)
+    return total
+
+
+def test_binary_splitting_matches_the_term_by_term_sum():
+    assert an.eval_exact(0) == reference_eval_exact(0) == 0
+    for n in range(1, 81):
+        a = an.enumerated_rational(n)
+        expected = reference_eval_exact(a)
+        assert an.eval_exact(a) == expected, n
+        assert an.eval_exact(-a) == expected, n
+
+
+@pytest.mark.parametrize("index", [250, 333, 399])
+def test_binary_splitting_matches_deep_in_the_enumeration(index):
+    a = an.enumerated_rational(index)
+    assert an.eval_exact(a) == reference_eval_exact(a)
 
 
 def test_eval_exact_base_cases():
@@ -198,7 +248,7 @@ def reference_series(cutoff):
     half = cutoff // 2
     acc = [Fraction(0)] * (half + 1)
     product = [Fraction(1)]
-    for n, qn, a_n in islice(an._terms(), half + an._SERIES_BUFFER):
+    for n, qn, a_n in islice(reference_terms(), half + an._SERIES_BUFFER):
         updated = [Fraction(0)] * min(len(product) + 1, half + 1)
         for j, c in enumerate(product):
             if j < len(updated):
@@ -232,3 +282,100 @@ def test_graph_points():
     assert an.graph_points(0) == []
     with pytest.raises(ValueError):
         an.graph_points(-1)
+
+
+# -- term budgets ------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_terms(monkeypatch):
+    """Fail any test that sums a term: refusals must come before the work."""
+    def summed(*args):
+        raise AssertionError("a term was summed before the budget check")
+    monkeypatch.setattr(an, "_terms", summed)
+    monkeypatch.setattr(an, "_tail_bound", summed)
+    return summed
+
+
+def test_budget_error_is_one_class():
+    assert an.BudgetError is definability.BudgetError is BudgetError
+
+
+def test_eval_exact_refuses_over_budget(no_terms):
+    required = an.square_index(22) - 1
+    with pytest.raises(BudgetError) as info:
+        an.eval_exact(22)
+    assert info.value.required == required
+    assert info.value.budget == an.DEFAULT_TERM_BUDGET
+    assert str(info.value) == (f"evaluation needs {required} series terms "
+                               f"(budget {an.DEFAULT_TERM_BUDGET})")
+
+
+def test_eval_exact_budget_is_the_term_count():
+    a = an.enumerated_rational(50)
+    required = an.square_index(a) - 1
+    assert an.eval_exact(a, max_terms=required) == reference_eval_exact(a)
+    with pytest.raises(BudgetError) as info:
+        an.eval_exact(a, max_terms=required - 1)
+    assert info.value.required == required
+    assert an.eval_exact(0, max_terms=0) == 0
+
+
+def reference_interval_terms(lo, hi, n_terms):
+    """Explicit terms plus the terms the tail loop adds, by the loop itself."""
+    m = max(abs(Fraction(lo)), abs(Fraction(hi)))
+    n = n_terms + 1
+    while (m * m + 1) / ((2 * n + 1) * (2 * n + 2)) >= Fraction(1, 2):
+        n += 1
+    # n_terms explicit terms, then the tail terms n_terms + 1 .. n
+    return n
+
+
+@pytest.mark.parametrize("lo,hi,n_terms", [
+    (0, 1, 5), (-7, Fraction(3, 2), 2), (0, 40, 4), (Fraction(-99, 2), 3, 30),
+    (0, 10**4, 1), (Fraction(1, 3), Fraction(2000, 7), 12),
+    # 2(M^2 + 1) = 30 + 1/8 sits just above (2n+1)(2n+2) = 30 at n = 2
+    (Fraction(-15, 4), 1, 1)])
+def test_eval_interval_budget_predicts_the_tail(lo, hi, n_terms):
+    required = reference_interval_terms(lo, hi, n_terms)
+    if required <= 200:
+        enclosure = an.eval_interval(lo, hi, n_terms, max_terms=required)
+        assert enclosure.contains(an.eval_exact(1))  # 1 is in every window
+    with pytest.raises(BudgetError) as info:
+        an.eval_interval(lo, hi, n_terms, max_terms=required - 1)
+    assert info.value.required == required
+
+
+def test_eval_interval_refuses_over_budget(no_terms):
+    with pytest.raises(BudgetError) as info:
+        an.eval_interval(0, 3000, 4)
+    assert info.value.required == reference_interval_terms(0, 3000, 4)
+    assert info.value.budget == an.DEFAULT_TERM_BUDGET
+
+
+def test_series_refuses_over_budget(no_terms):
+    cutoff = 2 * an.DEFAULT_TERM_BUDGET
+    with pytest.raises(BudgetError) as info:
+        an.series_of_g(cutoff)
+    assert info.value.required == cutoff // 2 + an._SERIES_BUFFER
+
+
+def test_series_budget_is_the_term_count():
+    required = 10 // 2 + an._SERIES_BUFFER
+    assert an.series_of_g(10, max_terms=required) == an.series_of_g(10)
+    with pytest.raises(BudgetError):
+        an.series_of_g(10, max_terms=required - 1)
+
+
+def test_graph_points_refuse_over_budget(no_terms, monkeypatch):
+    monkeypatch.setattr(an, "eval_exact", no_terms)
+    with pytest.raises(BudgetError) as info:
+        an.graph_points(5, max_terms=3)
+    # the last point, at enumeration index 5, sums square_index - 1 terms
+    assert info.value.required == \
+        an.square_index(an.enumerated_rational(5)) - 1 == 4
+    assert an.graph_points(0, max_terms=0) == []
+
+
+def test_graph_points_budget_covers_the_last_point():
+    assert an.graph_points(5, max_terms=4) == an.graph_points(5)

@@ -4,11 +4,12 @@ import argparse
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from funcfield import cli, elliptic
+from funcfield import analytic, cli, elliptic
 from funcfield.cli import dispatch, main
 from funcfield.elliptic import generator_point, on_curve
 from funcfield.textio import parse_ratfun
@@ -106,7 +107,6 @@ def test_ec_custom_curve():
 def test_analytic_commands():
     assert dispatch(["eval-f", "--a", "1"]).outputs["value"] == "-1/4"
     report = dispatch(["eval-f", "--lo", "1", "--hi", "1", "--N", "4"])
-    from fractions import Fraction
     assert Fraction(report.outputs["lo"]) <= Fraction(-1, 4) \
         <= Fraction(report.outputs["hi"])
     series = dispatch(["series-g", "--N", "8"]).outputs
@@ -184,6 +184,35 @@ def test_budget_error_reports_required_count():
                        "--max-candidates", "3"])
     assert report.exit_code == 1
     assert report.outputs["required"] == 32
+
+
+def test_eval_f_refuses_deep_points_at_once():
+    start = time.perf_counter()
+    report = dispatch(["eval-f", "--a", "22"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] == analytic.square_index(22) - 1
+    start = time.perf_counter()
+    report = dispatch(["eval-f", "--lo", "0", "--hi", "10000"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] > analytic.DEFAULT_TERM_BUDGET
+    cutoff = 2 * analytic.DEFAULT_TERM_BUDGET
+    report = dispatch(["series-g", "--N", str(cutoff)])
+    assert report.exit_code == 1
+    assert report.outputs["required"] == cutoff // 2 + analytic._SERIES_BUFFER
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["eval-f", "--a", "3/2"], analytic.square_index(Fraction(3, 2)) - 1),
+    (["graph-points", "--count", "4"], 3)])
+def test_max_terms_flag_sets_the_term_budget(argv, required):
+    report = dispatch(argv + ["--max-terms", str(required)])
+    assert report.exit_code == 0
+    assert report.to_json(stable=True) == dispatch(argv).to_json(stable=True)
+    report = dispatch(argv + ["--max-terms", str(required - 1)])
+    assert report.exit_code == 1
+    assert report.outputs["required"] == required
 
 
 def test_json_stable_output_is_byte_deterministic():
