@@ -16,6 +16,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from math import inf
 from typing import Optional, Tuple
 
@@ -152,10 +154,6 @@ _G = _arg("--g", required=True)
 _N = _arg("--n", type=int, required=True)
 _P = _arg("--p", type=int, required=True)
 _N_MAX = _arg("--n-max", type=int, default=8, dest="n_max")
-_MAX_TERMS = _arg("--max-terms", type=int, dest="max_terms",
-                  default=analytic.DEFAULT_TERM_BUDGET,
-                  help="refuse (exit 1) above this many series terms "
-                       f"(default {analytic.DEFAULT_TERM_BUDGET})")
 _CURVE = (_arg("--A", default="z", help="curve coefficient A (default z)"),
           _arg("--B", default="1", help="curve coefficient B (default 1)"),
           _arg("--x", default="0", help="base point x (default 0)"),
@@ -322,25 +320,31 @@ def _ec_growth(args, inputs):
                        for n, degree, ratio in rows]}
 
 
+def _exact(q: Fraction) -> str:
+    """str(q) past CPython's 4300-digit cap on int-to-str conversion, which
+    values of f reach from about enumeration index 137 on."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 @_command("eval-f",
           "evaluate the transcendental function exactly or on an interval",
           _arg("--a", help="exact rational argument"),
           _arg("--lo", help="interval lower endpoint"),
           _arg("--hi", help="interval upper endpoint"),
           _arg("--N", type=int, default=6,
-               help="explicit terms for interval mode"),
-          _MAX_TERMS)
+               help="explicit terms for interval mode"))
 def _eval_f(args, inputs):
     if args.a is not None:
         a = parse_rational(args.a)
         inputs["a"] = str(a)
-        return {"value": str(analytic.eval_exact(a, args.max_terms))}
+        return {"value": _exact(analytic.eval_exact(a))}
     if args.lo is None or args.hi is None:
         raise ParseError("eval-f needs --a or both --lo and --hi", 0)
     lo, hi = parse_rational(args.lo), parse_rational(args.hi)
     inputs["lo"], inputs["hi"], inputs["N"] = str(lo), str(hi), args.N
-    enclosure = analytic.eval_interval(lo, hi, args.N, args.max_terms)
-    return {"lo": str(enclosure.lo), "hi": str(enclosure.hi)}
+    enclosure = analytic.eval_interval(lo, hi, args.N)
+    return {"lo": _exact(enclosure.lo), "hi": _exact(enclosure.hi)}
 
 
 @_command("series-g", "truncated even series of g(t) = f(it)",
@@ -349,15 +353,15 @@ def _series_g(args, inputs):
     inputs["N"] = args.N
     series = analytic.series_of_g(args.N)
     return {"cutoff": series.cutoff,
-            "coefficients": [str(c) for c in series.coefficients]}
+            "coefficients": [_exact(c) for c in series.coefficients]}
 
 
 @_command("graph-points", "first points (a, f(a)) of the fixed enumeration",
-          _arg("--count", type=int, required=True), _MAX_TERMS)
+          _arg("--count", type=int, required=True))
 def _graph_points(args, inputs):
     inputs["count"] = args.count
-    points = analytic.graph_points(args.count, args.max_terms)
-    return {"points": [[str(a), str(value)] for a, value in points]}
+    points = analytic.graph_points(args.count)
+    return {"points": [[str(a), _exact(value)] for a, value in points]}
 
 
 @_command("slice", "enumerate a Diophantine slice over F_p",

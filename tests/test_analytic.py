@@ -215,6 +215,36 @@ def test_interval_widths_shrink():
         an.RatInterval(Fraction(1), Fraction(0))
 
 
+def reference_eval_interval(lo, hi, n_terms):
+    """The enclosure by Fraction interval arithmetic, term by term."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    m = max(abs(lo), abs(hi))
+    x2 = an.RatInterval(lo, hi).square()
+    low = high = Fraction(0)
+    p_lo = p_hi = Fraction(1)
+    for n, qn, a_n in islice(reference_terms(), n_terms):
+        c, d = qn - x2.hi, qn - x2.lo
+        ends = (p_lo * c, p_lo * d, p_hi * c, p_hi * d)
+        p_lo, p_hi = min(ends), max(ends)
+        scale = Fraction(1, factorial(2 * n) * a_n)
+        low, high = low + p_lo * scale, high + p_hi * scale
+    tail = an._tail_bound(m, n_terms + 1, an._tail_end(m, n_terms + 1))
+    return an.RatInterval(low - tail, high + tail)
+
+
+def test_interval_matches_the_fraction_interval_sum(rng=random.Random(5)):
+    windows = [(0, 1, 5), (1, 1, 8), (-7, Fraction(3, 2), 2),
+               (Fraction(-99, 2), 3, 30), (Fraction(-3, 7), Fraction(-1, 5), 40),
+               (Fraction(1, 3), Fraction(2000, 7), 12), (Fraction(2, 3), 3, 90)]
+    for _ in range(60):
+        lo = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
+        hi = lo + Fraction(rng.randint(0, 60), rng.randint(1, 20))
+        windows.append((lo, hi, rng.randint(1, 45)))
+    for lo, hi, n_terms in windows:
+        assert an.eval_interval(lo, hi, n_terms) == \
+            reference_eval_interval(lo, hi, n_terms), (lo, hi, n_terms)
+
+
 # -- the even series of g(t) = f(it) ---------------------------------------------
 
 
@@ -306,19 +336,22 @@ def test_eval_exact_refuses_over_budget(no_terms):
     with pytest.raises(BudgetError) as info:
         an.eval_exact(22)
     assert info.value.required == required
-    assert info.value.budget == an.DEFAULT_TERM_BUDGET
+    assert info.value.budget == an.TERM_BUDGET
     assert str(info.value) == (f"evaluation needs {required} series terms "
-                               f"(budget {an.DEFAULT_TERM_BUDGET})")
+                               f"(budget {an.TERM_BUDGET})")
 
 
-def test_eval_exact_budget_is_the_term_count():
+def test_eval_exact_budget_is_the_term_count(monkeypatch):
     a = an.enumerated_rational(50)
     required = an.square_index(a) - 1
-    assert an.eval_exact(a, max_terms=required) == reference_eval_exact(a)
+    monkeypatch.setattr(an, "TERM_BUDGET", required)
+    assert an.eval_exact(a) == reference_eval_exact(a)
+    monkeypatch.setattr(an, "TERM_BUDGET", required - 1)
     with pytest.raises(BudgetError) as info:
-        an.eval_exact(a, max_terms=required - 1)
+        an.eval_exact(a)
     assert info.value.required == required
-    assert an.eval_exact(0, max_terms=0) == 0
+    monkeypatch.setattr(an, "TERM_BUDGET", 0)
+    assert an.eval_exact(0) == 0
 
 
 def reference_interval_terms(lo, hi, n_terms):
@@ -336,13 +369,15 @@ def reference_interval_terms(lo, hi, n_terms):
     (0, 10**4, 1), (Fraction(1, 3), Fraction(2000, 7), 12),
     # 2(M^2 + 1) = 30 + 1/8 sits just above (2n+1)(2n+2) = 30 at n = 2
     (Fraction(-15, 4), 1, 1)])
-def test_eval_interval_budget_predicts_the_tail(lo, hi, n_terms):
+def test_eval_interval_budget_predicts_the_tail(lo, hi, n_terms, monkeypatch):
     required = reference_interval_terms(lo, hi, n_terms)
     if required <= 200:
-        enclosure = an.eval_interval(lo, hi, n_terms, max_terms=required)
+        monkeypatch.setattr(an, "TERM_BUDGET", required)
+        enclosure = an.eval_interval(lo, hi, n_terms)
         assert enclosure.contains(an.eval_exact(1))  # 1 is in every window
+    monkeypatch.setattr(an, "TERM_BUDGET", required - 1)
     with pytest.raises(BudgetError) as info:
-        an.eval_interval(lo, hi, n_terms, max_terms=required - 1)
+        an.eval_interval(lo, hi, n_terms)
     assert info.value.required == required
 
 
@@ -350,32 +385,61 @@ def test_eval_interval_refuses_over_budget(no_terms):
     with pytest.raises(BudgetError) as info:
         an.eval_interval(0, 3000, 4)
     assert info.value.required == reference_interval_terms(0, 3000, 4)
-    assert info.value.budget == an.DEFAULT_TERM_BUDGET
+    assert info.value.budget == an.TERM_BUDGET
+    with pytest.raises(BudgetError) as info:
+        an.eval_interval(0, 1, an.TERM_BUDGET)
+    assert info.value.required == an.TERM_BUDGET + 1
+
+
+def series_coefficients(cutoff):
+    """Coefficients of the polynomial terms summed: term n has n + 1."""
+    return sum(n + 1 for n in range(1, cutoff // 2 + an._SERIES_BUFFER + 1))
 
 
 def test_series_refuses_over_budget(no_terms):
-    cutoff = 2 * an.DEFAULT_TERM_BUDGET
+    cutoff = 1984  # 1000 polynomial terms
     with pytest.raises(BudgetError) as info:
         an.series_of_g(cutoff)
-    assert info.value.required == cutoff // 2 + an._SERIES_BUFFER
+    assert info.value.required == series_coefficients(cutoff)
+    assert info.value.budget == an.COEFFICIENT_BUDGET
+    assert str(info.value) == (
+        f"series needs {series_coefficients(cutoff)} polynomial coefficients "
+        f"(budget {an.COEFFICIENT_BUDGET})")
 
 
-def test_series_budget_is_the_term_count():
-    required = 10 // 2 + an._SERIES_BUFFER
-    assert an.series_of_g(10, max_terms=required) == an.series_of_g(10)
+def test_series_budget_is_the_coefficient_count(monkeypatch):
+    required = series_coefficients(10)
+    expected = an.series_of_g(10)
+    monkeypatch.setattr(an, "COEFFICIENT_BUDGET", required)
+    assert an.series_of_g(10) == expected
+    monkeypatch.setattr(an, "COEFFICIENT_BUDGET", required - 1)
     with pytest.raises(BudgetError):
-        an.series_of_g(10, max_terms=required - 1)
+        an.series_of_g(10)
+
+
+def test_series_budget_admits_the_benchmark_cutoffs():
+    # bench/wl_analytic.py draws cutoffs up to 120
+    assert series_coefficients(120) <= an.COEFFICIENT_BUDGET
 
 
 def test_graph_points_refuse_over_budget(no_terms, monkeypatch):
     monkeypatch.setattr(an, "eval_exact", no_terms)
+    # point n sums square_index - 1 = n - 1 terms
+    required = sum(an.square_index(an.enumerated_rational(n)) - 1
+                   for n in range(1, 401))
     with pytest.raises(BudgetError) as info:
-        an.graph_points(5, max_terms=3)
-    # the last point, at enumeration index 5, sums square_index - 1 terms
-    assert info.value.required == \
-        an.square_index(an.enumerated_rational(5)) - 1 == 4
-    assert an.graph_points(0, max_terms=0) == []
+        an.graph_points(400)
+    assert info.value.required == required
+    assert info.value.budget == an.TERM_BUDGET
+    monkeypatch.setattr(an, "TERM_BUDGET", 0)
+    assert an.graph_points(0) == []
 
 
-def test_graph_points_budget_covers_the_last_point():
-    assert an.graph_points(5, max_terms=4) == an.graph_points(5)
+def test_graph_points_budget_is_the_total_term_count(monkeypatch):
+    expected = an.graph_points(5)
+    monkeypatch.setattr(an, "TERM_BUDGET", 0 + 1 + 2 + 3 + 4)
+    assert an.graph_points(5) == expected
+    monkeypatch.setattr(an, "TERM_BUDGET", 9)
+    with pytest.raises(BudgetError) as info:
+        an.graph_points(5)
+    assert info.value.required == 10

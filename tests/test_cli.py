@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,23 +197,25 @@ def test_eval_f_refuses_deep_points_at_once():
     report = dispatch(["eval-f", "--lo", "0", "--hi", "10000"])
     assert time.perf_counter() - start < 1.0
     assert report.exit_code == 1
-    assert report.outputs["required"] > analytic.DEFAULT_TERM_BUDGET
-    cutoff = 2 * analytic.DEFAULT_TERM_BUDGET
-    report = dispatch(["series-g", "--N", str(cutoff)])
+    assert report.outputs["required"] > analytic.TERM_BUDGET
+    report = dispatch(["series-g", "--N", "1984"])
     assert report.exit_code == 1
-    assert report.outputs["required"] == cutoff // 2 + analytic._SERIES_BUFFER
+    assert report.outputs["required"] == 1000 * 1003 // 2
+    report = dispatch(["graph-points", "--count", "400"])
+    assert report.exit_code == 1
+    assert report.outputs["required"] == 400 * 399 // 2
 
 
-@pytest.mark.parametrize("argv,required", [
-    (["eval-f", "--a", "3/2"], analytic.square_index(Fraction(3, 2)) - 1),
-    (["graph-points", "--count", "4"], 3)])
-def test_max_terms_flag_sets_the_term_budget(argv, required):
-    report = dispatch(argv + ["--max-terms", str(required)])
+def test_eval_f_prints_values_past_the_int_digit_limit():
+    # square index 171: the value's denominator has more than 4300 digits
+    a = Fraction(21, 34)
+    report = dispatch(["eval-f", "--a", str(a)])
     assert report.exit_code == 0
-    assert report.to_json(stable=True) == dispatch(argv).to_json(stable=True)
-    report = dispatch(argv + ["--max-terms", str(required - 1)])
-    assert report.exit_code == 1
-    assert report.outputs["required"] == required
+    value = analytic.eval_exact(a)
+    assert len(str(Decimal(value.denominator))) > 4300
+    # read back through Decimal, which the digit limit does not cover
+    numerator, denominator = report.outputs["value"].split("/")
+    assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == value
 
 
 def test_json_stable_output_is_byte_deterministic():
