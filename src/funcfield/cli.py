@@ -436,7 +436,7 @@ def _dispatch(args) -> Report:
         report = _run_command(args)
     except BudgetError as error:
         report = Report(args.command, {}, {"error": str(error),
-                                           "required": error.required},
+                                           "required": error.reported},
                         ok=False)
         report.exit_code = 1
         return report

@@ -626,9 +626,25 @@ def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:
 
 
 def radical(a: Poly) -> Poly:
-    """Product of the distinct monic irreducible factors of a (a != 0)."""
+    """Product of the distinct monic irreducible factors of a (a != 0).
+
+    f / gcd(f, f') has every factor of f whose multiplicity is not
+    divisible by the characteristic.  Over F_p the other factors are left
+    in the gcd once the ones found are divided out: that part is h(z^p) =
+    h(z)^p, so its radical is that of h, read off every p-th coefficient.
+    """
     if a.is_zero:
         raise ValueError("radical of the zero polynomial")
     if a.degree == 0:
         return Poly.one(a.field)
-    return a.monic() // poly_gcd(a, a.derivative())
+    f = a.monic()
+    rest = poly_gcd(f, f.derivative())
+    found = f // rest
+    common = poly_gcd(rest, found)
+    while common.degree > 0:
+        rest = rest // common
+        common = poly_gcd(rest, common)
+    if rest.degree == 0:
+        return found
+    p = a.field.characteristic
+    return found * radical(_poly(rest._ints[::p], 1, a.field))

@@ -228,8 +228,38 @@ def reference_eval_interval(lo, hi, n_terms):
         p_lo, p_hi = min(ends), max(ends)
         scale = Fraction(1, factorial(2 * n) * a_n)
         low, high = low + p_lo * scale, high + p_hi * scale
-    tail = an._tail_bound(m, n_terms + 1, an._tail_end(m, n_terms + 1))
+    tail = reference_tail_bound(m, n_terms + 1, an._tail_end(m, n_terms + 1))
     return an.RatInterval(low - tail, high + tail)
+
+
+def reference_tail_bound(m, n_from, n_end):
+    """The tail majorant term by term: a Fraction sum of (M^2n + 1)/(2n)!
+    for n_from <= n < n_end, plus twice the term at n_end."""
+    def term(n):
+        return (m ** (2 * n) + 1) / factorial(2 * n)
+
+    total = Fraction(0)
+    for n in range(n_from, n_end):
+        total += term(n)
+    return total + 2 * term(n_end)
+
+
+def test_tail_bound_matches_the_fraction_sum(rng=random.Random(1913)):
+    cases = [(Fraction(0), 2, 2), (Fraction(0), 2, 9), (Fraction(5), 7, 7),
+             (Fraction(1, 3), 4, 40), (Fraction(-7, 2), 2, 3),
+             (Fraction(1410), 2, an._tail_end(Fraction(1410), 2)),
+             (Fraction(2821, 2), 3, 999)]
+    for _ in range(60):
+        m = Fraction(rng.randint(0, 400), rng.randint(1, 40))
+        n_from = rng.randint(2, 60)
+        n_end = rng.choice([n_from, an._tail_end(m, n_from),
+                            n_from + rng.randint(0, 80)])
+        cases.append((m, n_from, n_end))
+    assert any(m == 0 for m, _, _ in cases)
+    assert any(n_end >= 990 for *_, n_end in cases)
+    for m, n_from, n_end in cases:
+        assert an._tail_bound(m, n_from, n_end) == \
+            reference_tail_bound(m, n_from, n_end), (m, n_from, n_end)
 
 
 def test_interval_matches_the_fraction_interval_sum(rng=random.Random(5)):

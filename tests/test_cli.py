@@ -193,6 +193,12 @@ def test_eval_f_refuses_deep_points_at_once():
     assert time.perf_counter() - start < 1.0
     assert report.exit_code == 1
     assert report.outputs["required"] == analytic.square_index(22) - 1
+    # a 10^8-bit index, built by shifts rather than as a string of bits
+    start = time.perf_counter()
+    report = dispatch(["eval-f", "--a", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] == "at least 2^99999999"
     start = time.perf_counter()
     report = dispatch(["eval-f", "--lo", "0", "--hi", "10000"])
     assert time.perf_counter() - start < 1.0
@@ -204,6 +210,38 @@ def test_eval_f_refuses_deep_points_at_once():
     report = dispatch(["graph-points", "--count", "400"])
     assert report.exit_code == 1
     assert report.outputs["required"] == 400 * 399 // 2
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["eval-f", "--a", "20000"], analytic.square_index(20000) - 1),
+    (["slice", "--system", SQUARE_SYSTEM, "--alpha", "20000", "--beta", "1"],
+     2 ** (20001 + 2)),  # p^((alpha + 1) n + (beta + 1) m)
+], ids=["eval-f", "slice"])
+def test_refusals_past_the_int_digit_limit(argv, count, capsys):
+    """A count too long to print is reported as a power-of-two lower bound
+    in text and JSON mode, with exit 1 rather than the digit-limit error."""
+    report = dispatch(argv)
+    assert report.exit_code == 1
+    required = report.outputs["required"]
+    assert required == f"at least 2^{count.bit_length() - 1}"
+    assert f"needs {required} " in report.outputs["error"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith(
+        f"\nrequired: {required}\nresult: FAIL\n")
+    assert main(["--json", *argv]) == 1
+    assert json.loads(capsys.readouterr().out)["outputs"]["required"] == required
+
+
+def test_text_output_renders_lists_and_the_result_line(capsys):
+    assert main(["--stable", "series-g", "--N", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    coefficients = [str(c) for c in analytic.series_of_g(2).coefficients]
+    assert lines == ["command: series-g", "  N = 2",
+                     *(f"coefficients[{i}]: {json.dumps(c)}"
+                       for i, c in enumerate(coefficients)),
+                     "cutoff: 2"]
+    assert main(["--stable", "verify-slicer"]) == 0
+    assert capsys.readouterr().out.endswith("\nresult: PASS\n")
 
 
 def test_eval_f_prints_values_past_the_int_digit_limit():

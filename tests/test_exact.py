@@ -74,10 +74,16 @@ def test_fp_sqrt():
     root = f13.sqrt(f13.coerce(4))
     assert root is not None and root * root == 4
     assert f13.sqrt(f13.coerce(5)) is None  # 5 is not a QR mod 13
-    f17 = PrimeField(17)  # p % 4 == 1 exercises full Tonelli-Shanks
-    for v in range(17):
-        root = f17.sqrt(f17.coerce(v * v))
-        assert root is not None and root * root == v * v
+    # p % 4 == 1 exercises full Tonelli-Shanks, p = 2 and p % 4 == 3 the
+    # shortcuts
+    for p in (17, 2, 3, 7, 19, 10007):
+        field = PrimeField(p)
+        for v in range(min(p, 200)):
+            square = field.coerce(v * v)
+            root = field.sqrt(square)
+            assert root is not None and root * root == square
+        if p % 4 == 3:
+            assert field.sqrt(field.coerce(-1)) is None
 
 
 def test_rational_sqrt():
@@ -279,6 +285,22 @@ def test_derivative_examples():
     assert R("7").derivative().is_zero
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_derivative_over_fp_matches_the_quotient_rule(p, rng=random.Random(77)):
+    field = PrimeField(p)
+    for _ in range(30):
+        num = Poly([rng.randrange(p) for _ in range(rng.randint(1, 5))], field)
+        den = P("1", field)
+        for _ in range(rng.randint(1, 3)):
+            # exponents up to 2p: p-th powers have a vanishing derivative
+            factor = Poly([rng.randrange(p), 1], field)
+            den = den * factor ** rng.randint(1, 2 * p)
+        f = RatFun(num, den)
+        quotient = RatFun(f.num.derivative() * f.den
+                          - f.num * f.den.derivative(), f.den * f.den)
+        assert f.derivative() == quotient, (p, f)
+
+
 def test_derivative_leibniz(rng=random.Random(333)):
     for _ in range(30):
         f, g = _random_ratfun(rng), _random_ratfun(rng)
@@ -398,6 +420,30 @@ def test_poly_eval():
 
 def test_radical():
     assert radical(P("(z-1)^3 * (z+2)^2")) == P("(z-1)*(z+2)")
+    # over F_p, factors whose multiplicity p divides are kept
+    f3 = PrimeField(3)
+    assert radical(P("(z+1)^3*(z+2)", f3)) == P("z^2 + 2", f3)
+    assert radical(P("z^3 + 1", f3)) == P("z + 1", f3)
+    assert radical(P("2*(z^2+1)^9*(z+1)^4*z^3", f3)) == P("(z^2+1)*(z+1)*z", f3)
+
+
+def test_radical_over_fp_of_seeded_products(rng=random.Random(8513)):
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        # the monic irreducibles of degrees 1 and 2
+        pool = [P(f"z + {c}", field) for c in range(p)] + [
+            P(f"z^2 + {b}*z + {c}", field) for b in range(p) for c in range(p)
+            if all((x * x + b * x + c) % p for x in range(p))]
+        for _ in range(25):
+            factors = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            f = P(str(rng.randint(1, p - 1)), field)
+            expected = P("1", field)
+            for g in factors:
+                # multiplicities from 1 to 2p + 1, so some are >= p and
+                # some are divisible by p
+                f = f * g ** rng.randint(1, 2 * p + 1)
+                expected = expected * g
+            assert radical(f) == expected, (p, f)
 
 
 # -- text syntax ---------------------------------------------------------
