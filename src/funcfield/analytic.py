@@ -119,6 +119,19 @@ def square_index(a) -> int:
     return cw_index(abs(a)) + 1
 
 
+def _index_bits(q: Fraction) -> int:
+    """cw_index(q).bit_length() without the index: the sum of the
+    continued-fraction quotients of q >= 0, one bit per step of the walk
+    (0 for q = 0)."""
+    a, b = q.numerator, q.denominator
+    total = 0
+    while b:
+        quotient, r = divmod(a, b)
+        total += quotient
+        a, b = b, r
+    return total
+
+
 def _terms() -> Iterator[Tuple[int, int, int, int]]:
     """(n, s_n, r_n, A_n) for n = 1, 2, ..., with q_n = s_n / r_n in lowest
     terms and A_n = 1 + ceil(N_n / D_n) from the unreduced running products
@@ -163,6 +176,12 @@ def eval_exact(a) -> Fraction:
     400 the reduced denominator has about 120k bits).
     """
     a = Fraction(a)
+    # m - 1 has as many bits as the quotients of a sum to; a count too
+    # long to print is refused before it is built
+    error = BudgetError._past_digit_limit(
+        _index_bits(abs(a)), TERM_BUDGET, "evaluation", "series terms")
+    if error:
+        raise error
     required = square_index(a) - 1
     _refuse_over(required)
     if not required:

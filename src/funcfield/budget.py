@@ -7,6 +7,9 @@ running for hours; the CLI reports `required` and exits 1.
 
 from __future__ import annotations
 
+import sys
+from typing import Optional
+
 
 class BudgetError(RuntimeError):
     """The work would need `required` units, more than `budget` allows.
@@ -15,7 +18,9 @@ class BudgetError(RuntimeError):
     "enumeration needs 8192 candidate tuples (budget 1000)".  `reported`
     is `required` itself, or, for a count past CPython's limit on
     int-to-str conversion (4300 digits by default), the text
-    "at least 2^k" with k = bit_length - 1, which prints at once.
+    "at least 2^k" with k = bit_length - 1, which prints at once.  A count
+    refused on its bit length alone, before it is built, has `required`
+    None.
     """
 
     def __init__(self, required: int, budget: int, task: str, noun: str):
@@ -25,5 +30,30 @@ class BudgetError(RuntimeError):
             shown = str(required)
             self.reported = required
         except ValueError:
-            shown = self.reported = f"at least 2^{required.bit_length() - 1}"
+            shown = self.reported = _at_least(required.bit_length())
         super().__init__(f"{task} needs {shown} {noun} (budget {budget})")
+
+    @classmethod
+    def _past_digit_limit(cls, bits: int, budget: int, task: str,
+                          noun: str) -> Optional["BudgetError"]:
+        """The refusal of a count of `bits` bits, if every such count has
+        more digits than str() prints, made without the count; else None.
+
+        A count of `bits` bits is at least 2^(bits - 1), which has
+        floor((bits - 1) log10 2) + 1 digits, and 0.30102999 < log10 2
+        keeps the estimate below the truth.  Counts near the limit get
+        None and are refused by the constructor, which tries str().
+        """
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or (bits - 1) * 30102999 // 10 ** 8 < limit:
+            return None
+        error = cls.__new__(cls)
+        error.required, error.budget = None, budget
+        error.reported = _at_least(bits)
+        RuntimeError.__init__(
+            error, f"{task} needs {error.reported} {noun} (budget {budget})")
+        return error
+
+
+def _at_least(bits: int) -> str:
+    return f"at least 2^{bits - 1}"

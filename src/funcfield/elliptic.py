@@ -7,6 +7,25 @@ invariants, the Kodaira type of each bad fiber from the valuation triple of
 a minimal model, and the Shioda-Tate rank count for rational elliptic
 surfaces.
 
+Multiples nP (|n| >= 2) of a point whose coordinates are polynomials, on a
+curve with polynomial A and B in characteristic 0 and with y(P) != 0, come
+from the division values W_k = psi_k(P) in k[z] (Ward's elliptic
+divisibility sequence) rather than from chord-tangent steps:
+
+    x(nP) = (x W_n^2 - W_{n-1} W_{n+1}) / W_n^2,
+    y(nP) = Omega_n / (2 W_n^3),
+    Omega_n = (W_{n+2} W_{n-1}^2 - W_{n-2} W_{n+1}^2) / W_2,
+
+with W_n = 0 exactly when nP = O.  Only the O(log n) values that the
+halving recurrences touch are computed, and lowest terms are certified by
+two gcds on W_n-sized operands: when gcd(W_n, W_{n-1}) and
+gcd(W_n, W_{n+1}) are constant, both coordinates are in lowest terms as
+they stand (the proof is at `_division_multiple`).  A point through the
+singular point of a finite fiber makes them nonconstant, and then both
+coordinates are reduced by a full gcd.  `ec_multiply` and
+`canonical_height_estimate` take this route; every other point, `ec_add`
+and `degree_growth_report` use the chord-tangent law.
+
 The reference curve throughout the package is y^2 = x^3 + z*x + 1 with the
 generator point (0, 1): a rational elliptic surface with three I1 fibers on
 the block 4z^3 + 27 and a III* fiber at infinity, Mordell-Weil lattice of
@@ -99,9 +118,29 @@ def generator_point(field: Field = QQ) -> ECPoint:
 
 
 def on_curve(curve: Curve, point: ECPoint) -> bool:
+    """Whether the point satisfies the curve equation.
+
+    For polynomial A and B the test needs no gcd.  With x = N/D and
+    y = M/E in canonical form, y^2 = M^2/E^2 is canonical, and so is
+    x^3 + A x + B = (N (N^2 + A D^2) + B D^3) / D^3, since that numerator
+    is N^3 mod D and N is prime to D.  Two canonical forms are equal
+    exactly when their parts are: E^2 = D^3 (degrees first) and
+    M^2 = N (N^2 + A D^2) + B D^3.
+    """
     if point.is_identity:
         return True
-    return point.y ** 2 == point.x ** 3 + curve.A * point.x + curve.B
+    x, y = point.x, point.y
+    if not (curve.A.is_polynomial and curve.B.is_polynomial):
+        return y ** 2 == x ** 3 + curve.A * x + curve.B
+    d, e = x.den, y.den
+    if 2 * e.degree != 3 * d.degree:
+        return False
+    d2 = d * d
+    d3 = d2 * d
+    if e * e != d3:
+        return False
+    n = x.num
+    return y.num * y.num == n * (n * n + curve.A.num * d2) + curve.B.num * d3
 
 
 def _require_on_curve(curve: Curve, point: ECPoint) -> None:
@@ -133,12 +172,18 @@ def ec_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
 
 
 def ec_multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
-    """n-th multiple by double-and-add; negative n via negation."""
+    """n-th multiple: from the division values for |n| >= 2 when the
+    point qualifies (see the module docstring), else by double-and-add;
+    negative n via negation."""
     _require_on_curve(curve, point)
+    if abs(n) >= 2 and _on_division_route(curve, point):
+        multiple = _division_multiple(curve, point, abs(n))
+        return multiple if n > 0 else -multiple
     return _multiply(curve, n, point)
 
 
 def _multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
+    """n-th multiple by chord-tangent double-and-add."""
     if n == 0:
         return ECPoint.identity()
     if n < 0:
@@ -152,6 +197,109 @@ def _multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
         if n:
             base = _add(curve, base, base)
     return result
+
+
+# -- multiples from the division values -----------------------------------
+
+
+def _on_division_route(curve: Curve, point: ECPoint) -> bool:
+    """Whether multiples of the point come from its division values:
+    A, B, x(P) and y(P) polynomials, y(P) != 0, characteristic 0."""
+    return (curve.field.characteristic == 0 and not point.is_identity
+            and curve.A.is_polynomial and curve.B.is_polynomial
+            and point.x.is_polynomial and point.y.is_polynomial
+            and not point.y.is_zero)
+
+
+def _division_values(curve: Curve, point: ECPoint):
+    """k -> W_k = psi_k(P) in k[z], memoized, for a point on the division
+    route.
+
+    W_0..W_4 are the division polynomials evaluated at P, with W_2 = 2y;
+    above that W_{2m+1} = W_{m+2} W_m^3 - W_{m-1} W_{m+1}^3 and
+    W_{2m} = W_m Omega_m, and W_{-k} = -W_k.
+    """
+    a, b = curve.A.num, curve.B.num
+    x, y = point.x.num, point.y.num
+    x2 = x * x
+    a2 = a * a
+    w2 = y.scale(2)
+    memo = {
+        0: Poly.zero(curve.field),
+        1: Poly.one(curve.field),
+        2: w2,
+        # 3x^4 + 6Ax^2 + 12Bx - A^2
+        3: (x2 * (x2.scale(3) + a.scale(6)) + (b * x).scale(12) - a2),
+        # 4y (x^6 + 5Ax^4 + 20Bx^3 - 5A^2x^2 - 4ABx - 8B^2 - A^3)
+        4: w2 * (x2 * (x2 * (x2 + a.scale(5)) + (b * x).scale(20)
+                       - a2.scale(5))
+                 - (a * b * x).scale(4) - (b * b).scale(8) - a2 * a).scale(2),
+    }
+
+    def w(k: int) -> Poly:
+        if k < 0:
+            return -w(-k)
+        value = memo.get(k)
+        if value is None:
+            m = k // 2
+            if k & 1:
+                value = w(m + 2) * w(m) ** 3 - w(m - 1) * w(m + 1) ** 3
+            else:
+                value = w(m) * _omega(w, m)
+            memo[k] = value
+        return value
+
+    return w
+
+
+def _omega(w, m: int) -> Poly:
+    """Omega_m = (W_{m+2} W_{m-1}^2 - W_{m-2} W_{m+1}^2) / W_2, an exact
+    division that is checked rather than assumed."""
+    quotient, remainder = divmod(
+        w(m + 2) * w(m - 1) ** 2 - w(m - 2) * w(m + 1) ** 2, w(2))
+    if remainder:
+        raise ArithmeticError(f"W_2 does not divide Omega_{m}")
+    return quotient
+
+
+def _division_x(w, x: Poly, n: int):
+    """(x(nP), lowest) for n >= 1 from the division values, x = x(P); x(nP)
+    is None when W_n = 0, that is nP = O.
+
+    lowest says that gcd(W_n, W_{n-1}) and gcd(W_n, W_{n+1}) are constant;
+    then x(nP) is built without a gcd, and otherwise reduced by a full one.
+    """
+    wn = w(n)
+    if wn.is_zero:
+        return None, True
+    before, after = w(n - 1), w(n + 1)
+    lowest = (poly_gcd(wn, before).degree == 0
+              and poly_gcd(wn, after).degree == 0)
+    square = wn * wn
+    build = RatFun._coprime if lowest else RatFun
+    return build(x * square - before * after, square), lowest
+
+
+def _division_multiple(curve: Curve, point: ECPoint, n: int) -> ECPoint:
+    """nP for n >= 1 and a point on the division route.
+
+    Lowest terms: let gcd(W_n, W_{n-1}) and gcd(W_n, W_{n+1}) be constant.
+    A prime dividing W_n and the numerator x W_n^2 - W_{n-1} W_{n+1} of
+    x(nP) would divide W_{n-1} W_{n+1}, so x(nP) is in lowest terms with
+    denominator monic(W_n)^2.  With A and B polynomial, the denominator of
+    x^3 + A x + B is then monic(W_n)^6, the square of the denominator of
+    y(nP); so y(nP) = Omega_n / (2 W_n^3) has denominator monic(W_n)^3 and
+    is in lowest terms too.  When either gcd is nonconstant (P meets a
+    singular point of a finite fiber), both coordinates are reduced by a
+    full gcd.
+    """
+    w = _division_values(curve, point)
+    x, lowest = _division_x(w, point.x.num, n)
+    if x is None:
+        return ECPoint.identity()
+    wn = w(n)
+    build = RatFun._coprime if lowest else RatFun
+    return ECPoint.affine(x, build(_omega(w, n), (wn * wn * wn).scale(2)))
 
 
 def naive_height(curve: Curve, point: ECPoint) -> int:
@@ -170,20 +318,27 @@ def _naive_height(point: ECPoint) -> int:
 def canonical_height_estimate(curve: Curve, point: ECPoint, k: int) -> Fraction:
     """h(2^k P) / 4^k as an exact rational (k >= 1, P affine non-torsion).
 
-    Only P is checked against the curve; 2^k P is computed here and its
-    height read off directly.
+    Only P is checked against the curve; 2^k P is computed here, from the
+    division values when P qualifies, and its height read off directly.
     """
     if k < 1:
         raise ValueError("doubling count must be >= 1")
     _require_on_curve(curve, point)
     if point.is_identity:
         raise ValueError("height estimate needs an affine point")
-    doubled = point
-    for _ in range(k):
-        doubled = _add(curve, doubled, doubled)
-        if doubled.is_identity:
-            raise TorsionPointError(f"{point} is torsion")
-    return Fraction(doubled.x.map_degree(), 4 ** k)
+    if _on_division_route(curve, point):
+        x = _division_x(_division_values(curve, point), point.x.num,
+                        2 ** k)[0]
+    else:
+        doubled = point
+        for _ in range(k):
+            doubled = _add(curve, doubled, doubled)
+            if doubled.is_identity:
+                break
+        x = doubled.x
+    if x is None:
+        raise TorsionPointError(f"{point} is torsion")
+    return Fraction(x.map_degree(), 4 ** k)
 
 
 def degree_growth_report(

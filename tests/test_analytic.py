@@ -371,6 +371,40 @@ def test_eval_exact_refuses_over_budget(no_terms):
                                f"(budget {an.TERM_BUDGET})")
 
 
+def test_index_bits_is_the_bit_length_of_the_index():
+    rng = random.Random(1505)
+    values = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+              for _ in range(300)]
+    for q in values + [Fraction(1), Fraction(2), Fraction(1, 7), 22]:
+        q = Fraction(q)
+        assert an._index_bits(q) == an.cw_index(q).bit_length()
+
+
+def test_eval_exact_refusals_near_the_digit_limit_are_unchanged(no_terms):
+    # the index of an integer a has a bits; 14283 bits print as 4300
+    # digits, the most str() allows by default, and 14284 bits do not
+    for a in range(14270, 14300):
+        required = an.square_index(a) - 1
+        direct = BudgetError(required, an.TERM_BUDGET, "evaluation",
+                             "series terms")
+        with pytest.raises(BudgetError) as info:
+            an.eval_exact(a)
+        assert str(info.value) == str(direct)
+        assert info.value.reported == direct.reported
+
+
+def test_eval_exact_refuses_unprintable_indices_unbuilt(no_terms, monkeypatch):
+    def built(q):
+        raise AssertionError("the index was built")
+    monkeypatch.setattr(an, "cw_index", built)
+    with pytest.raises(BudgetError) as info:
+        an.eval_exact(-10 ** 9)
+    assert info.value.required is None
+    assert info.value.reported == "at least 2^999999999"
+    assert str(info.value) == ("evaluation needs at least 2^999999999 series "
+                               f"terms (budget {an.TERM_BUDGET})")
+
+
 def test_eval_exact_budget_is_the_term_count(monkeypatch):
     a = an.enumerated_rational(50)
     required = an.square_index(a) - 1

@@ -193,12 +193,18 @@ def test_eval_f_refuses_deep_points_at_once():
     assert time.perf_counter() - start < 1.0
     assert report.exit_code == 1
     assert report.outputs["required"] == analytic.square_index(22) - 1
-    # a 10^8-bit index, built by shifts rather than as a string of bits
+    # a 10^8-bit index
     start = time.perf_counter()
     report = dispatch(["eval-f", "--a", "100000000"])
     assert time.perf_counter() - start < 1.0
     assert report.exit_code == 1
     assert report.outputs["required"] == "at least 2^99999999"
+    # a 10^9-bit index is refused on its bit length, never built
+    start = time.perf_counter()
+    report = dispatch(["eval-f", "--a", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] == "at least 2^999999999"
     start = time.perf_counter()
     report = dispatch(["eval-f", "--lo", "0", "--hi", "10000"])
     assert time.perf_counter() - start < 1.0

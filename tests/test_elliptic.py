@@ -16,7 +16,8 @@ from funcfield.elliptic import (Curve, ECPoint, FiberReport,
                                 ec_multiply, fiber_components, generator_point,
                                 kodaira_classify, mordell_weil_lattice,
                                 naive_height, on_curve, shioda_tate_rank)
-from funcfield.fields import QQ
+from funcfield.fields import PrimeField, QQ
+from funcfield.poly import Poly, poly_gcd
 from funcfield.ratfun import RatFun
 from funcfield.textio import parse_poly, parse_ratfun
 
@@ -125,6 +126,149 @@ def test_multiply_additivity():
                 == multiples[m + n]
 
 
+# -- multiples from the division values ------------------------------------
+
+
+def _chord_tangent_steps(monkeypatch):
+    """A list that grows by one at every later chord-tangent step."""
+    add = elliptic._add
+    steps = []
+
+    def counting_add(curve, p, q):
+        steps.append(1)
+        return add(curve, p, q)
+
+    monkeypatch.setattr(elliptic, "_add", counting_add)
+    return steps
+
+
+def _family_curve(rng):
+    """A seeded member of the ec-heights family y^2 = x^3 + A x + B,
+    A = alpha z + beta, through the constant point (c, d)."""
+    alpha, beta = rng.choice((1, -1)), rng.randint(-1, 1)
+    c, d = rng.choice((1, -1)), rng.choice((1, 2))
+    a = R(f"{alpha}*z + {beta}")
+    return Curve(a, R(f"{d * d - c ** 3}") - a * c), \
+        ECPoint.affine(R(str(c)), R(str(d)))
+
+
+# y^2 = x^3 - 3x + 2 - 2z^2 - z^3 through P = (1 + z, z): at z = 0 the
+# fiber is y^2 = (x - 1)^2 (x + 2) and P passes through its node (1, 0)
+NODE_CURVE = Curve(R("-3"), R("2 - 2*z^2 - z^3"))
+NODE_POINT = ECPoint.affine(R("1 + z"), R("z"))
+
+
+def test_division_route_matches_chord_tangent_on_the_reference_point(
+        monkeypatch):
+    expected = {n: elliptic._multiply(CURVE, n, P1) for n in range(-6, 25)}
+    steps = _chord_tangent_steps(monkeypatch)
+    for n in range(-6, 25):
+        steps.clear()
+        assert ec_multiply(CURVE, n, P1) == expected[n]
+        assert not steps or abs(n) < 2
+    assert ec_multiply(CURVE, 2, P1) == P2_ORACLE
+
+
+def test_division_route_matches_chord_tangent_on_family_curves(monkeypatch):
+    rng = random.Random(1501)
+    for _ in range(4):
+        curve, point = _family_curve(rng)
+        ns = [n for n in range(-4, 13) if abs(n) >= 2]
+        expected = [elliptic._multiply(curve, n, point) for n in ns]
+        heights = [Fraction(elliptic._multiply(curve, 2 ** k, point)
+                            .x.map_degree(), 4 ** k) for k in (1, 2, 3)]
+        with monkeypatch.context() as patch:
+            steps = _chord_tangent_steps(patch)
+            assert [ec_multiply(curve, n, point) for n in ns] == expected
+            assert [canonical_height_estimate(curve, point, k)
+                    for k in (1, 2, 3)] == heights
+            assert not steps
+
+
+def test_division_route_through_a_node_reduces_by_full_gcd():
+    assert on_curve(NODE_CURVE, NODE_POINT)
+    w = elliptic._division_values(NODE_CURVE, NODE_POINT)
+    for n in range(3, 13):
+        assert poly_gcd(w(n), w(n - 1)).degree >= 1
+        assert poly_gcd(w(n), w(n + 1)).degree >= 1
+        assert elliptic._division_x(w, NODE_POINT.x.num, n)[1] is False
+    for n in range(-4, 13):
+        assert ec_multiply(NODE_CURVE, n, NODE_POINT) \
+            == elliptic._multiply(NODE_CURVE, n, NODE_POINT)
+    for k in (1, 2, 3):
+        assert canonical_height_estimate(NODE_CURVE, NODE_POINT, k) \
+            == Fraction(elliptic._multiply(NODE_CURVE, 2 ** k, NODE_POINT)
+                        .x.map_degree(), 4 ** k)
+
+
+def test_division_route_on_torsion_points():
+    curve = Curve(RatFun.zero(QQ), RatFun.one(QQ))  # y^2 = x^3 + 1
+    for point, order in ((ECPoint.affine(R("0"), R("1")), 3),
+                         (ECPoint.affine(R("2"), R("3")), 6)):
+        w = elliptic._division_values(curve, point)
+        for n in range(-7, 14):
+            multiple = ec_multiply(curve, n, point)
+            assert multiple == elliptic._multiply(curve, n, point)
+            assert multiple.is_identity == (n % order == 0)
+            assert w(n).is_zero == (n % order == 0)
+        # no power of two is a multiple of 3 or 6
+        assert canonical_height_estimate(curve, point, 3) == 0
+    # (2, 4) on y^2 = x^3 + 4x has order 4: W_4 = 0 on the division route
+    curve = Curve(R("4"), RatFun.zero(QQ))
+    point = ECPoint.affine(R("2"), R("4"))
+    assert ec_multiply(curve, 2, point) == ECPoint.affine(R("0"), R("0"))
+    assert ec_multiply(curve, -4, point).is_identity
+    assert canonical_height_estimate(curve, point, 1) == 0
+    with pytest.raises(TorsionPointError):
+        canonical_height_estimate(curve, point, 2)
+
+
+def test_points_off_the_division_route_take_chord_tangent(monkeypatch):
+    p3 = ec_multiply(CURVE, 3, P1)  # x = (8z^3 + 64)/z^4
+    fp_curve = default_curve(PrimeField(101))
+    fp_point = generator_point(PrimeField(101))
+    rational_a = Curve(R("1/z"), R("1"))  # through (0, 1)
+    expected = [(CURVE, p3, ec_multiply(CURVE, 6, P1))]
+    expected += [(c, q, elliptic._multiply(c, 5, q))
+                 for c, q in ((fp_curve, fp_point), (rational_a, P1))]
+    for curve, point, _ in expected:
+        assert not elliptic._on_division_route(curve, point)
+    steps = _chord_tangent_steps(monkeypatch)
+    assert ec_multiply(CURVE, 2, p3) == expected[0][2]
+    assert steps
+    for curve, point, five_p in expected[1:]:
+        steps.clear()
+        assert ec_multiply(curve, 5, point) == five_p
+        assert steps
+        assert on_curve(curve, five_p)
+
+
+def test_on_curve_compares_numerators_and_denominators():
+    def ratfun_check(curve, point):
+        return point.y ** 2 == point.x ** 3 + curve.A * point.x + curve.B
+
+    p3 = ec_multiply(CURVE, 3, P1)
+    x, y = p3.x, p3.y
+    shifted = y.den + Poly.one(QQ)  # same degree, other poles
+    off = [
+        # right numerator, wrong denominator of the same degree
+        ECPoint.affine(x, RatFun(y.num, shifted)),
+        # wrong numerator, right denominator
+        ECPoint.affine(x, RatFun(y.num + y.den, y.den)),
+        # denominators of mismatched degree
+        ECPoint.affine(x, RatFun(y.num, y.den * shifted)),
+        ECPoint.affine(x + 1, y),
+    ]
+    for point in [p3] + off:
+        assert on_curve(CURVE, point) == ratfun_check(CURVE, point)
+    assert on_curve(CURVE, p3)
+    assert not any(on_curve(CURVE, point) for point in off)
+    # rational A keeps the RatFun check
+    rational_a = Curve(R("1/z"), R("1"))
+    assert on_curve(rational_a, P1)
+    assert not on_curve(rational_a, ECPoint.affine(R("1/z"), R("1")))
+
+
 # -- heights -----------------------------------------------------------------
 
 
@@ -172,21 +316,7 @@ def test_degree_growth_small():
 
 
 def test_degree_growth_rows_match_per_n_multiples(monkeypatch):
-    rng = random.Random(4407)
-    # a member of the family y^2 = x^3 + A x + B with A = alpha z + beta
-    # through the constant point (c, d)
-    alpha, beta = rng.choice((1, -1)), rng.randint(-1, 1)
-    c, d = rng.choice((1, -1)), rng.choice((1, 2))
-    a = R(f"{alpha}*z + {beta}")
-    family = Curve(a, R(f"{d * d - c ** 3}") - a * c)
-    point = ECPoint.affine(R(str(c)), R(str(d)))
-    add = elliptic._add
-    steps = []
-
-    def counting_add(curve, p, q):
-        steps.append(1)
-        return add(curve, p, q)
-
+    family, point = _family_curve(random.Random(4407))
     for curve, base, n_max in ((CURVE, P1, 10), (family, point, 8)):
         expected = []
         for n in range(1, n_max + 1):
@@ -195,8 +325,7 @@ def test_degree_growth_rows_match_per_n_multiples(monkeypatch):
         assert [row[1] for row in expected] \
             == [n * n // 2 for n in range(1, n_max + 1)]
         with monkeypatch.context() as patch:
-            patch.setattr(elliptic, "_add", counting_add)
-            steps.clear()
+            steps = _chord_tangent_steps(patch)
             assert degree_growth_report(curve, base, n_max) == expected
         assert len(steps) == n_max
 
