@@ -166,15 +166,26 @@ def enumerate_slice(system: DioSystem, alpha: int, beta: int,
     or passes the whole x-tuple at once.  The output is sorted, so the
     order of the two loops is free: the block with fewer tuples is the
     inner one, kept in memory.
+
+    More than `max_candidates` tuples raise BudgetError before any work; a
+    count too long to print is reported as the lower bound
+    2^(e (bits(p) - 1)) <= p^e, read off the exponent e.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("degree bounds must be >= 0")
-    required = system.field.p ** ((alpha + 1) * system.n
-                                  + (beta + 1) * system.m)
+    p, n, m = system.field.p, system.n, system.m
+    exponent = (alpha + 1) * n + (beta + 1) * m
+    # p^e >= 2^(e (bits(p) - 1)): a count too long to print is refused on
+    # its exponent, before it is built
+    error = BudgetError._past_digit_limit(
+        exponent * (p.bit_length() - 1) + 1, max_candidates, "enumeration",
+        "candidate tuples")
+    if error:
+        raise error
+    required = p ** exponent
     if required > max_candidates:
         raise BudgetError(required, max_candidates, "enumeration",
                           "candidate tuples")
-    p, n, m = system.field.p, system.n, system.m
     no_y = (0,) * m
     equations = []  # per equation: {b: [(x-exponents a, coefficient)]}
     for poly in system.polys:

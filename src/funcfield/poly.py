@@ -9,11 +9,14 @@ are built only at the edge: `Poly(coeffs, field)` validates and converts
 its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
 build them on the way out.  The variable is always called z.
 
-Over Q, products are one big-int multiply (Kronecker substitution: both
-operands evaluated at a power of two by the shifts GCDHEU also uses, the
-product read back with an offset per slot), division is fraction-free
-pseudo-division d u = q v + r with one integer d, and gcds run the
-heuristic gcd (GCDHEU) on the primitive numerators with a primitive
+Over Q the route of a product follows the operand lengths: short or small
+products run the schoolbook loop over Z, and the others one big-int
+multiply (Kronecker substitution: both operands evaluated at a power of
+two by the shifts GCDHEU also uses, the product read back with an offset
+per slot; a square is evaluated once and squared).  Division by a
+constant scales the numerators; other divisions are fraction-free
+pseudo-division d u = q v + r with one integer d.  Gcds run the heuristic
+gcd (GCDHEU) on the primitive numerators with a primitive
 pseudo-remainder sequence as fallback; README states the cost model.
 Over F_p the schoolbook loops and the Euclidean algorithm below run on
 the residues, and the slicer and zero sets in `definability` use the
@@ -167,7 +170,12 @@ class Poly:
         p = field.characteristic
         if p:
             return _poly(_mul(a, b, p), 1, field)
-        return _q_poly(_kronecker_mul(a, b), self._den * other._den, field)
+        if (min(len(a), len(b)) <= _SCHOOLBOOK_SHORT
+                or len(a) * len(b) <= _SCHOOLBOOK_TERMS):
+            ints = _mul(a, b, 0)
+        else:
+            ints = _kronecker_mul(a, b)
+        return _q_poly(ints, self._den * other._den, field)
 
     def scale(self, c) -> "Poly":
         field, p = self.field, self.field.characteristic
@@ -205,6 +213,10 @@ class Poly:
         if p:
             quot, rem = _divmod(a, b, p)
             return _poly(quot, 1, field), _poly(rem, 1, field)
+        if len(b) == 1:
+            # a / (b0 / db) = a db / (da b0), with no remainder
+            return (_q_poly([c * other._den for c in a], self._den * b[0],
+                            field), _poly((), 1, field))
         w = _int_primitive(list(b))
         content = b[-1] // w[-1]
         quot, rem, d = _pseudo_divmod(a, w)
@@ -335,7 +347,9 @@ def _add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
 
 
 def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    # p is prime, so the product of two leading coefficients is nonzero
+    """Schoolbook product over F_p, or over Z with no reduction for p = 0.
+    p is prime or 0, so the product of the leading coefficients is
+    nonzero."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -343,7 +357,7 @@ def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
         if c:
             for j, d in enumerate(b, i):
                 out[j] += c * d
-    return [c % p for c in out]
+    return [c % p for c in out] if p else out
 
 
 def _divmod(a: Sequence[int], b: Sequence[int], p: int,
@@ -387,6 +401,13 @@ def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
 
 # -- integer kernels over Q ------------------------------------------------
 
+# Products over Q with a factor of at most _SCHOOLBOOK_SHORT terms, or with
+# at most _SCHOOLBOOK_TERMS coefficient products, run the schoolbook `_mul`
+# over Z; larger ones run `_kronecker_mul`.  The crossover comes from timing
+# both on dense operands of 4 to 1024 bits (the table is in CHANGES.md).
+_SCHOOLBOOK_SHORT = 5
+_SCHOOLBOOK_TERMS = 144
+
 
 def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
     """Product of two integer coefficient lists by one big-int multiply.
@@ -395,13 +416,16 @@ def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
     (bu, bv the largest coefficient sizes in bits, bl the size of the
     shorter length), so slots of that many bits plus a sign bit hold them.
     Both operands are evaluated at 2^(8 width) and the product is read
-    back by `_unpack`.
+    back by `_unpack`.  A square (u is v) is evaluated once, and CPython
+    squares an int faster than it multiplies two.
     """
-    bits = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length()
-            + min(len(u), len(v)).bit_length())
-    width = bits // 8 + 1
+    bu = max(map(abs, u)).bit_length()
+    bv = bu if u is v else max(map(abs, v)).bit_length()
+    width = (bu + bv + min(len(u), len(v)).bit_length()) // 8 + 1
     shift = 8 * width
-    return _unpack(_evaluate(u, shift) * _evaluate(v, shift), width)
+    eu = _evaluate(u, shift)
+    ev = eu if u is v else _evaluate(v, shift)
+    return _unpack(eu * ev, width)
 
 
 def _unpack(n: int, width: int) -> List[int]:

@@ -8,7 +8,10 @@ non-univariate input.
 
 Expressions evaluate to (numerator, denominator) pairs of polynomials with
 one cancellation at the end, so "1/z^2 - 2 + z^2" and "(1 - z^2)^2/z^2"
-parse to the same value.
+parse to the same value.  A quotient of two nonconstant polynomials is
+cancelled once more before it is raised to a power of 2 or more, so
+"((z^2 - 1)/(z - 1))^300" expands (z + 1)^300 and not its uncancelled
+form; polynomial bases take no gcd.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .fields import Field, QQ
-from .poly import Poly
+from .poly import Poly, poly_gcd
 from .ratfun import INFINITY, RatFun
 
 
@@ -152,6 +155,12 @@ class _Parser:
                 if num.is_zero:
                     raise ParseError("negative power of zero", pos)
                 num, den, exponent = den, num, -exponent
+            if exponent >= 2 and num.degree > 0 and den.degree > 0:
+                # a common factor would be raised to the power and only
+                # cancelled at the end
+                common = poly_gcd(num, den)
+                if common.degree > 0:
+                    num, den = num // common, den // common
             return num ** exponent, den ** exponent
         return num, den
 

@@ -83,6 +83,22 @@ def test_budget_error_reports_required_count():
     assert info.value.required == 2 ** 5
 
 
+def test_a_count_too_long_to_print_is_refused_on_its_exponent():
+    # 3^10000003 has about 4.8 million digits; building it took seconds
+    system = single_equation_system(3, 1, 1, [([1, 0], "1"), ([0, 2], "1")])
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        enumerate_slice(system, 10 ** 7, 1)
+    assert time.perf_counter() - start < 1.0
+    # the lower bound 2^(e (bits(3) - 1)) with e = 10^7 + 1 + 2
+    assert info.value.required is None
+    assert info.value.reported == "at least 2^10000003"
+    # a count that prints is still exact
+    with pytest.raises(BudgetError) as info:
+        enumerate_slice(system, 2, 1, max_candidates=10)
+    assert info.value.required == 3 ** 5
+
+
 def test_slice_union_stabilization():
     union = slice_union(square_slice_system(), 2, 3)
     assert union.stabilized_at == 1

@@ -75,8 +75,10 @@ def random_poly(rng, degree, bits):
     return cs + [lead]
 
 
-SHAPES = [(-1, 5), (0, 1), (0, 700), (1, 3), (2, 64), (5, 700), (13, 200),
-          (40, 30), (64, 700)]
+# (degree, bits); products of two shapes fall on both sides of the
+# schoolbook/Kronecker crossover, 12 x 12 terms being its last schoolbook one
+SHAPES = [(-1, 5), (0, 1), (0, 700), (1, 3), (2, 64), (5, 700), (11, 64),
+          (13, 200), (40, 30), (64, 700)]
 
 
 def test_q_mul_matches_schoolbook(rng=random.Random(4401)):
@@ -133,6 +135,96 @@ def test_q_divmod_leading_coefficient_cases(rng=random.Random(4403)):
             # exact divisions come back with a zero remainder
             product = Poly(a, QQ) * Poly(b, QQ)
             assert divmod(product, Poly(b, QQ)) == (Poly(a, QQ), Poly.zero(QQ))
+
+
+# -- the routes of a Q product and of a division by a constant ------------
+
+
+def random_ints(rng, length, bits):
+    """Signed integer coefficients of up to `bits` bits with some interior
+    zeros and a nonzero last one."""
+    cs = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, bits))
+          if rng.random() < 0.8 else 0 for _ in range(length)]
+    cs[-1] = cs[-1] or rng.choice((-1, 1)) << rng.randint(0, bits)
+    return cs
+
+
+def schoolbook_route(la, lb):
+    return (min(la, lb) <= poly._SCHOOLBOOK_SHORT
+            or la * lb <= poly._SCHOOLBOOK_TERMS)
+
+
+# (length of a, length of b): length 1, the edges of both thresholds, and
+# products well past them
+ROUTE_SHAPES = [(1, 1), (1, 40), (40, 1), (2, 200), (5, 5), (5, 80), (6, 6),
+                (6, 24), (6, 25), (12, 12), (12, 13), (13, 12), (8, 18),
+                (7, 21), (16, 16), (33, 17), (64, 64)]
+
+
+def test_q_products_take_the_route_their_lengths_select(
+        monkeypatch, rng=random.Random(4410)):
+    routes = []
+    kronecker = poly._kronecker_mul
+
+    def recording(u, v):
+        routes.append((len(u), len(v)))
+        return kronecker(u, v)
+
+    monkeypatch.setattr(poly, "_kronecker_mul", recording)
+    for la, lb in ROUTE_SHAPES:
+        for bits in (1, 40, 700):
+            u, v = random_ints(rng, la, bits), random_ints(rng, lb, bits)
+            routes.clear()
+            product = Poly(u, QQ) * Poly(v, QQ)
+            assert (routes == []) == schoolbook_route(la, lb)
+            assert list(product._ints) == kronecker(u, v) \
+                == poly._mul(u, v, 0) == schoolbook_mul(u, v, 0)
+    assert schoolbook_route(5, 1000) and schoolbook_route(12, 12)
+    assert not schoolbook_route(6, 25) and not schoolbook_route(12, 13)
+
+
+def test_q_square_equals_the_product_with_an_equal_copy(
+        rng=random.Random(4412)):
+    for length in (1, 2, 5, 6, 12, 13, 40, 150):
+        for bits in (1, 64, 700):
+            u = random_ints(rng, length, bits)
+            a = Poly([Fraction(c, 3) for c in u], QQ)
+            copy = Poly(a.coeffs, QQ)
+            assert copy == a and copy._ints is not a._ints
+            assert a * a == a * copy == copy * a
+            assert (a * a).coeffs == stripped(schoolbook_mul(a.coeffs,
+                                                             a.coeffs))
+            assert poly._kronecker_mul(u, u) == poly._kronecker_mul(u, list(u))
+            assert a ** 3 == a * copy * copy
+
+
+def pseudo_division_route(a, b):
+    """divmod over Q through fraction-free pseudo-division by the primitive
+    part of b, the route of every nonconstant divisor."""
+    w = poly._int_primitive(list(b._ints))
+    quot, rem, d = poly._pseudo_divmod(list(a._ints), w)
+    d *= a._den
+    return (poly._q_poly([c * b._den for c in quot],
+                         d * (b._ints[-1] // w[-1]), QQ),
+            poly._q_poly(poly._trim(rem), d, QQ))
+
+
+def test_q_division_by_a_constant_matches_pseudo_division(
+        rng=random.Random(4413)):
+    divisors = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-6, 35),
+                Fraction(2 ** 700 + 1, 3), Fraction(-1, 2 ** 300)]
+    divisors += [random_coeff(rng, 200) or Fraction(5) for _ in range(10)]
+    for c in divisors:
+        b = Poly([c], QQ)
+        for degree in (0, 1, 7, 60):
+            a = Poly(random_poly(rng, degree, 300), QQ)
+            quot, rem = divmod(a, b)
+            assert (quot, rem) == pseudo_division_route(a, b)
+            assert rem.is_zero and quot == a.scale(1 / c)
+            assert quot.coeffs == stripped(schoolbook_divmod(a.coeffs,
+                                                             b.coeffs)[0])
+            assert_canonical(quot)
+        assert divmod(Poly.zero(QQ), b) == (Poly.zero(QQ), Poly.zero(QQ))
 
 
 def test_q_divmod_small_dividend_and_zero_divisor():

@@ -1,5 +1,6 @@
 """Hypothesis properties of the text syntax: printed values re-parse to
-themselves, and "(a) op (b)" parses to a op b."""
+themselves, and "(a) op (b)" parses to a op b; and the ring laws of Q[z],
+on operands long enough to reach both product routes."""
 
 import operator
 from fractions import Fraction
@@ -79,3 +80,36 @@ def test_rational_powers_parse_exactly(c, n):
             parse_ratfun(f"({c})^{n}")
         return
     assert parse_ratfun(f"({c})^{n}") == RatFun.constant(Fraction(c) ** n)
+
+
+# -- ring laws of Q[z] --------------------------------------------------------
+
+# numerators up to 300 bits over small denominators; lengths up to 24 put
+# products on both sides of the schoolbook/Kronecker crossover
+q_coefficients = st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300),
+                           st.integers(1, 2 ** 20))
+q_polys = st.lists(q_coefficients, max_size=24).map(
+    lambda cs: Poly(cs, QQ))
+
+
+@examples
+@given(q_polys, q_polys, q_polys)
+def test_q_products_are_commutative_and_associative(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * a == a * Poly(a.coeffs, QQ)
+
+
+@examples
+@given(q_polys, q_polys, q_polys)
+def test_q_products_distribute_over_sums(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) * c == a * c - b * c
+
+
+@examples
+@given(q_polys, q_polys.filter(bool), q_polys)
+def test_q_division_undoes_a_product(a, b, r):
+    assert (a * b) // b == a and ((a * b) % b).is_zero
+    quot, rem = divmod(a * b + r, b)
+    assert quot * b + rem == a * b + r and rem.degree < b.degree

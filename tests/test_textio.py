@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import pytest
 
-from funcfield import poly, ratfun
+from funcfield import poly, ratfun, textio
 from funcfield.cli import dispatch
 from funcfield.fields import PrimeField, QQ
 from funcfield.ratfun import RatFun
@@ -310,6 +310,7 @@ def work(monkeypatch):
         return coprime(cls, *args)
     monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
     monkeypatch.setattr(ratfun, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(textio, "poly_gcd", counted_gcd)
     monkeypatch.setattr(RatFun, "__init__", counted_init)
     monkeypatch.setattr(RatFun, "_coprime", classmethod(counted_coprime))
     return counts
@@ -330,3 +331,23 @@ def test_parse_ratfun_takes_one_gcd_and_builds_one_ratfun(work):
         parse_ratfun(text)
         assert work["gcd"] - before["gcd"] <= 1, text
         assert work["ratfun"] - before["ratfun"] == 1, text
+
+
+def test_a_power_of_a_quotient_is_cancelled_before_it_is_raised(
+        work, monkeypatch):
+    powers = []
+    power = poly.Poly.__pow__
+
+    def recording_pow(self, n):
+        powers.append((self.degree, n))
+        return power(self, n)
+
+    monkeypatch.setattr(poly.Poly, "__pow__", recording_pow)
+    value = parse_ratfun("((z^2 - 1)/(z - 1))^300")
+    # one gcd before the power and one at the end; the base is z + 1
+    assert work["gcd"] == 2 and (1, 300) in powers
+    assert max(degree for degree, _ in powers) == 1
+    assert value == parse_ratfun("(z + 1)^300")
+    assert parse_ratfun("((z - 1)/(z^2 - 1))^-3") == parse_ratfun("(z + 1)^3")
+    # a quotient with nothing in common is raised as it is
+    assert parse_ratfun("(z/(z + 1))^2") == parse_ratfun("z^2/(z^2 + 2*z + 1)")
