@@ -4,7 +4,8 @@ Four independent tools live here:
 
 * brute-force slice enumeration of the solutions of a polynomial system
   over F_p[z] with degree-bounded unknowns, and the union of the projected
-  slices as the witness degree grows (`enumerate_slice`, `slice_union`);
+  slices as the witness degree grows, read off the largest slice, since
+  the slices are nested (`enumerate_slice`, `slice_union`);
 * zero sets of finite polynomial families over F_p, by gcds with z^p - z
   (`zero_set`);
 * Hermite reduction g = h' + r with squarefree remainder denominator, in
@@ -61,14 +62,22 @@ class DioSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "DioSystem":
-        field = PrimeField(int(data["p"]))
-        polys = []
-        for poly in data["polys"]:
-            polys.append(tuple(
-                (tuple(int(e) for e in term["exponents"]),
-                 parse_poly(term["coeff"], field))
-                for term in poly))
-        return cls(field, int(data["n"]), int(data["m"]), tuple(polys))
+        """The system of a decoded JSON object; a value of the wrong JSON
+        type (a non-integral p, n, m or exponent among them) raises
+        ValueError."""
+        _checked(data, dict, "the system")
+        field = PrimeField(_checked(data["p"], int, "p"))
+
+        def term(item):
+            item = _checked(item, dict, "a term")
+            exponents = _checked(item["exponents"], list, "exponents")
+            return (tuple(_checked(e, int, "an exponent") for e in exponents),
+                    parse_poly(_checked(item["coeff"], str, "coeff"), field))
+
+        polys = tuple(tuple(map(term, _checked(poly, list, "an equation")))
+                      for poly in _checked(data["polys"], list, "polys"))
+        return cls(field, _checked(data["n"], int, "n"),
+                   _checked(data["m"], int, "m"), polys)
 
     def to_json(self) -> dict:
         return {
@@ -95,8 +104,11 @@ class DioSystem:
         return values
 
 
-def _tuple_key(polys: Tuple[Poly, ...]):
-    return tuple(p._ints for p in polys)
+def _checked(value, kind: type, what: str):
+    """value, when it is of type `kind` (a JSON true or false is no int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def _monomials(values: Sequence[Sequence[int]],
@@ -244,20 +256,30 @@ def enumerate_slice(system: DioSystem, alpha: int, beta: int,
                               if _vanishes(live, y_mono, p)]
 
     solutions.sort()
-    projection = sorted({xs for xs, _ in solutions})
-    previous = {xs for xs, ys in solutions
-                if all(len(y) <= beta for y in ys)}
-    stabilized = beta > 0 and previous == set(projection)
     poly_of = {k: Poly(k, system.field)
                for k in {k for xs, ys in solutions for k in xs + ys}}
 
     def as_polys(keys):
         return tuple(poly_of[k] for k in keys)
 
-    return SliceResult(
-        alpha, beta,
-        tuple((as_polys(xs), as_polys(ys)) for xs, ys in solutions),
-        tuple(as_polys(xs) for xs in projection), stabilized)
+    solutions = tuple((as_polys(xs), as_polys(ys)) for xs, ys in solutions)
+    # sorted, since the solutions are sorted by their x-tuples first
+    projection = tuple(dict.fromkeys(xs for xs, _ in solutions))
+    stabilized = beta > 0 and beta not in _first_betas(solutions)
+    return SliceResult(alpha, beta, solutions, projection, stabilized)
+
+
+def _first_betas(solutions) -> set:
+    """The betas at which some projected x-tuple first appears.
+
+    A tuple's slice is the least beta that holds one of its solutions: the
+    smallest largest witness degree (at least 0) over its solutions.
+    """
+    first: Dict[Tuple[Poly, ...], int] = {}
+    for xs, ys in solutions:
+        beta = max([0] + [y.degree for y in ys])
+        first[xs] = min(first.get(xs, beta), beta)
+    return set(first.values())
 
 
 @dataclass(frozen=True)
@@ -273,21 +295,23 @@ class SliceUnionResult:
 def slice_union(system: DioSystem, alpha: int, beta_max: int,
                 max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
                 ) -> SliceUnionResult:
+    """The union of the slice projections for beta = 0..beta_max, and the
+    least beta at which they stop growing.
+
+    A solution with every deg y <= beta is also one with deg y <= beta + 1,
+    so the slices, and with them their projections, are nested: the union
+    is the beta_max projection.  One enumeration of the beta_max slice
+    therefore gives both results, and `max_candidates` bounds that one
+    enumeration, refused before any work.  Projection beta + 1 equals
+    projection beta exactly when no x-tuple first appears at beta + 1.
+    """
     if beta_max < 0:
         raise ValueError("beta_max must be >= 0")
-    union: Dict[Tuple, Tuple[Poly, ...]] = {}
-    previous = None
-    stabilized_at = None
-    for beta in range(beta_max + 1):
-        result = enumerate_slice(system, alpha, beta, max_candidates)
-        keys = {_tuple_key(xs) for xs in result.projection}
-        for xs in result.projection:
-            union.setdefault(_tuple_key(xs), xs)
-        if previous is not None and stabilized_at is None and keys == previous:
-            stabilized_at = beta - 1
-        previous = keys
-    members = tuple(sorted(union.values(), key=_tuple_key))
-    return SliceUnionResult(alpha, beta_max, members, stabilized_at)
+    result = enumerate_slice(system, alpha, beta_max, max_candidates)
+    appears = _first_betas(result.solutions)
+    stabilized_at = next(
+        (beta for beta in range(beta_max) if beta + 1 not in appears), None)
+    return SliceUnionResult(alpha, beta_max, result.projection, stabilized_at)
 
 
 def _distinct_roots(f: List[int], p: int) -> List[int]:

@@ -330,12 +330,7 @@ def canonical_height_estimate(curve: Curve, point: ECPoint, k: int) -> Fraction:
         x = _division_x(_division_values(curve, point), point.x.num,
                         2 ** k)[0]
     else:
-        doubled = point
-        for _ in range(k):
-            doubled = _add(curve, doubled, doubled)
-            if doubled.is_identity:
-                break
-        x = doubled.x
+        x = _multiply(curve, 2 ** k, point).x
     if x is None:
         raise TorsionPointError(f"{point} is torsion")
     return Fraction(x.map_degree(), 4 ** k)

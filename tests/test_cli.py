@@ -179,6 +179,34 @@ def test_negative_exponents_exit_2(terms, beta):
     assert "negative" in report.outputs["error"]
 
 
+def _system(**changes):
+    """The x = y^2 system over F_2 as JSON, with top-level keys or the
+    first term's keys replaced."""
+    term = {"exponents": [1, 0], "coeff": "1"}
+    term.update((k, v) for k, v in changes.items() if k in term)
+    system = {"p": 2, "n": 1, "m": 1,
+              "polys": [[term, {"exponents": [0, 2], "coeff": "1"}]]}
+    system.update((k, v) for k, v in changes.items() if k in system)
+    return json.dumps(system)
+
+
+@pytest.mark.parametrize("system", [
+    _system(polys=5), _system(polys=[5]), _system(polys=[[5]]),
+    _system(exponents=3), _system(coeff=1), _system(p=2.9), _system(n=1.5),
+    _system(m=True), _system(exponents=[2.9, 0]), _system(p="2"), "[1, 2]",
+], ids=["polys", "equation", "term", "exponents", "coeff", "p", "n", "m",
+        "exponent", "p-string", "system"])
+def test_malformed_systems_exit_2(system, tmp_path):
+    """A value of the wrong JSON type is an input error (exit 2), and a
+    non-integral number is not truncated to an integer."""
+    system_file = tmp_path / "system.json"
+    system_file.write_text(system)
+    report = dispatch(["slice", "--system", str(system_file),
+                       "--alpha", "1", "--beta", "1"])
+    assert report.exit_code == 2
+    assert ": expected " in report.outputs["error"]
+
+
 def test_budget_error_reports_required_count():
     report = dispatch(["slice", "--system", SQUARE_SYSTEM,
                        "--alpha", "2", "--beta", "1",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from funcfield import definability
 from funcfield.definability import (DEFAULT_CANDIDATE_BUDGET, BudgetError,
                                     DioSystem, enumerate_slice,
                                     frobenius_decompose, hermite_reduce,
@@ -218,9 +219,40 @@ def test_slice_union_matches_per_candidate_reference(
         if p ** ((alpha + 1) * n + (beta + 1) * m) > 128:
             continue
         system = random_system(rng, p, n, m)
-        union = slice_union(system, alpha, beta)
-        assert (union.members, union.stabilized_at) == \
-            reference_union(system, alpha, beta)
+        for beta_max in range(beta + 1):
+            union = slice_union(system, alpha, beta_max)
+            assert (union.members, union.stabilized_at) == \
+                reference_union(system, alpha, beta_max)
+
+
+def test_slice_union_enumerates_only_the_beta_max_slice(monkeypatch):
+    calls = []
+
+    def counted(system, alpha, beta, *rest):
+        calls.append(beta)
+        return enumerate_slice(system, alpha, beta, *rest)
+
+    monkeypatch.setattr(definability, "enumerate_slice", counted)
+    union = slice_union(square_slice_system(), 2, 3)
+    assert calls == [3]
+    assert union.stabilized_at == 1
+
+
+@pytest.mark.parametrize("alpha,beta_max,max_candidates", [
+    (1, 40, DEFAULT_CANDIDATE_BUDGET),  # beta = 0..17 fit the budget
+    (2, 3, 2 ** 7 - 1),  # beta = 0..2 fit the budget
+])
+def test_slice_union_refuses_on_the_beta_max_count_before_any_candidate(
+        monkeypatch, alpha, beta_max, max_candidates):
+    def visited(*args):
+        raise AssertionError("a candidate was visited")
+
+    monkeypatch.setattr(definability, "_vanishes", visited)
+    system = square_slice_system()
+    p, n, m = system.field.p, system.n, system.m
+    with pytest.raises(BudgetError) as info:
+        slice_union(system, alpha, beta_max, max_candidates)
+    assert info.value.required == p ** ((alpha + 1) * n + (beta_max + 1) * m)
 
 
 def test_slice_edge_systems_match_reference():

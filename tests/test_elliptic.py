@@ -243,6 +243,14 @@ def test_points_off_the_division_route_take_chord_tangent(monkeypatch):
         assert on_curve(curve, five_p)
 
 
+def test_canonical_height_of_a_point_off_the_division_route():
+    # 3P has a rational x, so its doublings take the chord-tangent law
+    p3 = ec_multiply(CURVE, 3, P1)
+    assert not elliptic._on_division_route(CURVE, p3)
+    assert canonical_height_estimate(CURVE, p3, 2) == \
+        Fraction(naive_height(CURVE, ec_multiply(CURVE, 12, P1)), 16)
+
+
 def test_on_curve_compares_numerators_and_denominators():
     def ratfun_check(curve, point):
         return point.y ** 2 == point.x ** 3 + curve.A * point.x + curve.B
