@@ -20,17 +20,20 @@ class BudgetError(RuntimeError):
     int-to-str conversion (4300 digits by default), the text
     "at least 2^k" with k = bit_length - 1, which prints at once.  A count
     refused on its bit length alone, before it is built, has `required`
-    None.
+    None and gives its bit length as `bits`.
     """
 
-    def __init__(self, required: int, budget: int, task: str, noun: str):
-        self.required = required
+    def __init__(self, required: Optional[int], budget: int, task: str,
+                 noun: str, bits: Optional[int] = None):
+        self.required = self.reported = required
         self.budget = budget
-        try:
-            shown = str(required)
-            self.reported = required
-        except ValueError:
-            shown = self.reported = _at_least(required.bit_length())
+        if required is not None:
+            try:
+                shown = str(required)
+            except ValueError:
+                bits = required.bit_length()
+        if bits is not None:
+            shown = self.reported = _at_least(bits)
         super().__init__(f"{task} needs {shown} {noun} (budget {budget})")
 
     @classmethod
@@ -47,12 +50,7 @@ class BudgetError(RuntimeError):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit or (bits - 1) * 30102999 // 10 ** 8 < limit:
             return None
-        error = cls.__new__(cls)
-        error.required, error.budget = None, budget
-        error.reported = _at_least(bits)
-        RuntimeError.__init__(
-            error, f"{task} needs {error.reported} {noun} (budget {budget})")
-        return error
+        return cls(None, budget, task, noun, bits)
 
 
 def _at_least(bits: int) -> str:

@@ -373,6 +373,8 @@ def _graph_points(args, inputs):
           _arg("--max-candidates", type=int, dest="max_candidates",
                default=DEFAULT_CANDIDATE_BUDGET))
 def _slice(args, inputs):
+    if args.beta is not None and args.beta_max is not None:
+        raise ParseError("slice takes --beta or --beta-max, not both", 0)
     system = _load_system(args.system)
     inputs["p"], inputs["alpha"] = system.field.p, args.alpha
     if args.beta_max is not None:

@@ -113,7 +113,8 @@ class Divisor:
                     inf_mult += mult
                     continue
                 _insert_block(basis, place.poly, mult)
-        pairs = [(Place.finite(p), m) for p, m in basis]
+        # blocks of places and their gcd quotients: monic and squarefree
+        pairs = [(Place(p), m) for p, m in basis]
         if inf_mult:
             pairs.append((Place.infinity(), inf_mult))
         return Divisor(pairs)
@@ -162,7 +163,7 @@ def pole_divisor(f: RatFun) -> Divisor:
     pairs: List[Tuple[Place, int]] = []
     if f.den.degree > 0:
         for block, mult in squarefree_decomposition(f.den):
-            pairs.append((Place.finite(block), mult))
+            pairs.append((Place(block), mult))  # monic, squarefree
     inf_mult = f.num.degree - f.den.degree
     if inf_mult > 0:
         pairs.append((Place.infinity(), inf_mult))

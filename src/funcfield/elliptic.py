@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 from typing import List, Optional, Tuple
 
 from .divisors import Place
@@ -371,76 +371,56 @@ def discriminant_and_c_invariants(curve: Curve) -> Tuple[RatFun, RatFun, RatFun]
     return delta, -48 * curve.A, -864 * curve.B
 
 
+# additive fiber types by v(delta); the conductor exponent f is 2 for each
+_ADDITIVE = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*",
+             10: "II*"}
+_ADDITIVE_DELTA = {name: v_delta for v_delta, name in _ADDITIVE.items()}
+
+
 def kodaira_classify(v_c4: Optional[int], v_c6: Optional[int],
                      v_delta: int) -> str:
     """Kodaira type from the valuations of a minimal model, residue char 0.
 
     None encodes an infinite valuation (c4 or c6 identically zero).  Raises
-    NonMinimalModelError when v(c4) >= 4 and v(delta) >= 12, and ValueError
-    on triples no fiber type attains.
+    NonMinimalModelError when v(c4) >= 4 and v(delta) >= 12.  The identity
+    1728 delta = c4^3 - c6^2 (Tate 1975) forces v(delta) = min(3 v(c4),
+    2 v(c6)) when the two differ and v(delta) >= min when they tie; any
+    other triple, or a negative valuation, is no fiber's and raises
+    ValueError.  Then v(c4) = 0 is multiplicative, I_n with n = v(delta);
+    3 v(c4) = 2 v(c6) = 6 is I_n* with n = v(delta) - 6; every other
+    additive type is read off v(delta).
     """
     if (v_c4 is None or v_c4 >= 4) and v_delta >= 12:
         raise NonMinimalModelError(
             f"triple ({v_c4}, {v_c6}, {v_delta}) admits a u^12 reduction")
     if v_delta < 0:
         raise ValueError("v(delta) must be >= 0")
-
-    def invalid():
-        return ValueError(
+    three = inf if v_c4 is None else 3 * v_c4
+    two = inf if v_c6 is None else 2 * v_c6
+    low = min(three, two)
+    if v_delta < low or (v_delta > low and three != two) or low < 0:
+        raise ValueError(
             f"no fiber type has valuations ({v_c4}, {v_c6}, {v_delta})")
-
-    if v_delta == 0:
-        return "I0"
-    if v_c4 == 0:
-        if v_c6 != 0:
-            raise invalid()
+    if v_delta == 0 or three == 0:
         return f"I{v_delta}"
-    # additive reduction: v(c4) >= 1 or c4 = 0
-    if v_delta == 2:
-        if v_c6 != 1:
-            raise invalid()
-        return "II"
-    if v_delta == 3:
-        if v_c4 != 1 or (v_c6 is not None and v_c6 < 2):
-            raise invalid()
-        return "III"
-    if v_delta == 4:
-        if v_c6 != 2:
-            raise invalid()
-        return "IV"
-    if v_delta == 6:
-        if (v_c4 is not None and v_c4 < 2) or (v_c6 is not None and v_c6 < 3):
-            raise invalid()
-        return "I0*"
-    if v_c4 == 2 and v_c6 == 3 and v_delta >= 7:
+    if three == two == 6:
         return f"I{v_delta - 6}*"
-    if v_delta == 8:
-        if v_c6 != 4 or (v_c4 is not None and v_c4 < 3):
-            raise invalid()
-        return "IV*"
-    if v_delta == 9:
-        if v_c4 != 3 or (v_c6 is not None and v_c6 < 5):
-            raise invalid()
-        return "III*"
-    if v_delta == 10:
-        if v_c6 != 5 or (v_c4 is not None and v_c4 < 4):
-            raise invalid()
-        return "II*"
-    raise invalid()
-
-
-_COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3,
-               "IV*": 7, "III*": 8, "II*": 9}
+    return _ADDITIVE[v_delta]
 
 
 def fiber_components(kodaira: str) -> int:
-    """Number of irreducible components of a Kodaira fiber."""
-    if kodaira in _COMPONENTS:
-        return _COMPONENTS[kodaira]
+    """Number m of irreducible components of a Kodaira fiber.
+
+    Ogg's formula (1967) v(delta) = f + m - 1, with conductor exponent
+    f = 0 for I0, 1 for I_n (n >= 1) and 2 for the additive types, gives
+    m = n for I_n, n + 5 for I_n* and v(delta) - 1 for `_ADDITIVE`.
+    """
+    if kodaira in _ADDITIVE_DELTA:
+        return _ADDITIVE_DELTA[kodaira] - 1
     if kodaira.startswith("I") and kodaira.endswith("*"):
         return int(kodaira[1:-1]) + 5
     if kodaira.startswith("I"):
-        return int(kodaira[1:])
+        return int(kodaira[1:]) or 1
     raise ValueError(f"unknown Kodaira type {kodaira!r}")
 
 

@@ -129,6 +129,16 @@ def test_slice_commands(tmp_path):
     assert report.outputs["stabilized_at"] == 1
 
 
+def test_slice_refuses_beta_with_beta_max(monkeypatch):
+    """Both flags are an input error, refused before the system is read."""
+    monkeypatch.setattr(cli, "_load_system", None)
+    report = dispatch(["slice", "--system", SQUARE_SYSTEM, "--alpha", "2",
+                       "--beta", "1", "--beta-max", "3"])
+    assert report.exit_code == 2 and not report.ok
+    assert report.outputs == {
+        "error": "slice takes --beta or --beta-max, not both (at position 0)"}
+
+
 def test_zero_set_command():
     report = dispatch(["zero-set", "--p", "2",
                        "--poly", "0", "--poly", "z^2+1"])

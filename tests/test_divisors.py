@@ -186,6 +186,12 @@ def test_z_set_member():
 # -- random properties ------------------------------------------------------
 
 
+def _places_are_valid_blocks(divisor):
+    """Every finite place is what `Place.finite` makes of its block."""
+    return all(place == Place.finite(place.poly)
+               for place, _ in divisor.entries if not place.is_infinity)
+
+
 def test_divisor_sum_is_additive(rng=random.Random(31337)):
     from funcfield.verify import random_divisor
 
@@ -193,6 +199,7 @@ def test_divisor_sum_is_additive(rng=random.Random(31337)):
         a = random_divisor(rng)
         b = random_divisor(rng)
         total = a + b
+        assert _places_are_valid_blocks(total)
         assert geometric_degree(total) == \
             geometric_degree(a) + geometric_degree(b)
         for point in [Fraction(v) for v in range(-7, 8)] + [INFINITY]:
@@ -204,6 +211,7 @@ def test_pole_degree_equals_map_degree(rng=random.Random(1234)):
     for _ in range(120):
         f = random_ratfun(rng, nonzero=True)
         assert geometric_degree(pole_divisor(f)) == f.map_degree()
+        assert _places_are_valid_blocks(pole_divisor(f))
 
 
 def test_zero_pole_symmetry(rng=random.Random(4321)):
@@ -234,6 +242,14 @@ def test_multiplicity_contradiction(rng=random.Random(8080)):
 
 
 # -- serialization ----------------------------------------------------------
+
+
+def test_divisor_str():
+    assert str(Divisor.empty()) == "0"
+    divisor = D(("z^2 + 1", 1), ("z - 1", 2), ("inf", 3))
+    assert str(divisor) == "2*(z - 1) + (z^2 + 1) + 3*(inf)"
+    assert str(pole_divisor(R("z^3/((z - 1)^2*(z^2 + 1))"))) \
+        == "2*(z - 1) + (z^2 + 1)"
 
 
 def test_serialization_roundtrip_and_order():

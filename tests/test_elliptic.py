@@ -387,18 +387,119 @@ def test_kodaira_must_minimalize():
 
 
 def test_kodaira_invalid_triples():
-    for triple in ((1, 1, 5), (0, 1, 3), (1, 1, 1), (2, 3, 5)):
+    for triple in ((1, 1, 5), (0, 1, 3), (1, 1, 1), (2, 3, 5),
+                   (-2, -3, 1), (-1, 0, 0)):
         with pytest.raises(ValueError):
             kodaira_classify(*triple)
 
 
+def _chain_kodaira(v_c4, v_c6, v_delta):
+    """The hand-written case chain `kodaira_classify` once was, kept as a
+    reference: it agrees with the identity rule on every attainable triple
+    but accepts some triples that violate 1728 delta = c4^3 - c6^2."""
+    if (v_c4 is None or v_c4 >= 4) and v_delta >= 12:
+        raise NonMinimalModelError("non-minimal")
+    if v_delta < 0:
+        raise ValueError("v(delta) must be >= 0")
+    invalid = ValueError("no fiber type")
+    if v_delta == 0:
+        return "I0"
+    if v_c4 == 0:
+        if v_c6 != 0:
+            raise invalid
+        return f"I{v_delta}"
+    if v_delta == 2:
+        if v_c6 != 1:
+            raise invalid
+        return "II"
+    if v_delta == 3:
+        if v_c4 != 1 or (v_c6 is not None and v_c6 < 2):
+            raise invalid
+        return "III"
+    if v_delta == 4:
+        if v_c6 != 2:
+            raise invalid
+        return "IV"
+    if v_delta == 6:
+        if (v_c4 is not None and v_c4 < 2) or (v_c6 is not None and v_c6 < 3):
+            raise invalid
+        return "I0*"
+    if v_c4 == 2 and v_c6 == 3 and v_delta >= 7:
+        return f"I{v_delta - 6}*"
+    if v_delta == 8:
+        if v_c6 != 4 or (v_c4 is not None and v_c4 < 3):
+            raise invalid
+        return "IV*"
+    if v_delta == 9:
+        if v_c4 != 3 or (v_c6 is not None and v_c6 < 5):
+            raise invalid
+        return "III*"
+    if v_delta == 10:
+        if v_c6 != 5 or (v_c4 is not None and v_c4 < 4):
+            raise invalid
+        return "II*"
+    raise invalid
+
+
+def _outcome(classify, triple):
+    try:
+        return classify(*triple)
+    except NonMinimalModelError:
+        return NonMinimalModelError
+    except ValueError:
+        return ValueError
+
+
+def _attainable(v_c4, v_c6, v_delta):
+    """v(1728 delta) = v(c4^3 - c6^2): the least of 3 v(c4) and 2 v(c6)
+    when they differ, at least that when they tie; c4 = c6 = 0 would make
+    delta = 0, so no finite v(delta) goes with two infinite valuations."""
+    three = None if v_c4 is None else 3 * v_c4
+    two = None if v_c6 is None else 2 * v_c6
+    finite = [v for v in (three, two) if v is not None]
+    if not finite:
+        return False
+    if three == two:
+        return v_delta >= three
+    return v_delta == min(finite)
+
+
+def test_kodaira_rule_matches_chain_on_attainable_triples():
+    valuations = [None] + list(range(8))
+    disagreements = []
+    for v_c4 in valuations:
+        for v_c6 in valuations:
+            for v_delta in range(16):
+                triple = (v_c4, v_c6, v_delta)
+                rule = _outcome(kodaira_classify, triple)
+                chain = _outcome(_chain_kodaira, triple)
+                if NonMinimalModelError in (rule, chain):
+                    assert rule is chain, triple
+                elif _attainable(*triple):
+                    assert rule == chain != ValueError, triple
+                else:
+                    assert rule is ValueError, triple
+                if rule != chain:
+                    disagreements.append(triple)
+    # each disagreement is an unattainable triple the chain classified
+    assert len(disagreements) == 95
+    for triple in ((1, 2, 4), (3, 4, 6), (3, 5, 0), (None, None, 6)):
+        assert triple in disagreements
+        with pytest.raises(ValueError, match="no fiber type has valuations"):
+            kodaira_classify(*triple)
+
+
 def test_fiber_components():
-    assert fiber_components("I1") == 1
-    assert fiber_components("I7") == 7
-    assert fiber_components("III*") == 8
-    assert fiber_components("I0*") == 5
-    assert fiber_components("I3*") == 8
-    assert fiber_components("II*") == 9
+    # the table the counts were once looked up in
+    table = {"I0": 1, "II": 1, "III": 2, "IV": 3,
+             "IV*": 7, "III*": 8, "II*": 9}
+    table.update({f"I{n}": n for n in range(1, 20)})
+    table.update({f"I{n}*": n + 5 for n in range(20)})
+    for name, components in table.items():
+        assert fiber_components(name) == components, name
+    for name in ("", "V", "Ix", "I*", "i1"):
+        with pytest.raises(ValueError):
+            fiber_components(name)
 
 
 # -- bad fibers ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hypothesis properties of the text syntax: printed values re-parse to
-themselves, and "(a) op (b)" parses to a op b; and the ring laws of Q[z],
-on operands long enough to reach both product routes."""
+themselves, and "(a) op (b)" parses to a op b; the ring laws of Q[z], on
+operands long enough to reach both product routes; the field laws of F_p;
+and RatFun arithmetic with Poly, int and scalar operands on either side."""
 
 import operator
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from funcfield.fields import PrimeField, QQ  # noqa: E402
+from funcfield.fields import (FieldMismatchError, FpElement,  # noqa: E402
+                              PrimeField, QQ)
 from funcfield.poly import Poly  # noqa: E402
 from funcfield.ratfun import RatFun  # noqa: E402
 from funcfield.textio import ParseError, parse_poly, parse_ratfun  # noqa: E402
@@ -113,3 +115,119 @@ def test_q_division_undoes_a_product(a, b, r):
     assert (a * b) // b == a and ((a * b) % b).is_zero
     quot, rem = divmod(a * b + r, b)
     assert quot * b + rem == a * b + r and rem.degree < b.degree
+
+
+# -- field laws of F_p ---------------------------------------------------------
+
+
+@st.composite
+def fp_elements(draw, count):
+    p = draw(st.sampled_from([2, 3, 5, 97]))
+    return [FpElement(draw(st.integers(-300, 300)), p) for _ in range(count)]
+
+
+@examples
+@given(fp_elements(3))
+def test_fp_field_laws(elements):
+    a, b, c = elements
+    p = a.p
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b) and (a - b) + b == a
+    if b != 0:
+        assert (a / b) * b == a
+        assert b ** -1 == 1 / b and b ** (p - 1) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b ** -1
+
+
+@examples
+@given(fp_elements(1), st.integers(-10 ** 6, 10 ** 6))
+def test_fp_int_operands_on_either_side(elements, n):
+    (a,) = elements
+    m = FpElement(n, a.p)
+    results = [(n + a, m + a), (a + n, a + m), (n - a, m - a),
+               (a - n, a - m), (n * a, m * a), (a * n, a * m)]
+    if a != 0:
+        results.append((n / a, m / a))
+    if m != 0:
+        results.append((a / n, a / m))
+    for mixed, lifted in results:
+        assert isinstance(mixed, FpElement) and mixed.p == a.p
+        assert mixed.v == lifted.v and 0 <= mixed.v < a.p
+
+
+@pytest.mark.parametrize("other", [object(), 1.5, Fraction(1, 2)],
+                         ids=["object", "float", "fraction"])
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_fp_foreign_operands_are_refused(op, other):
+    a = FpElement(3, 5)
+    with pytest.raises(TypeError):
+        OPS[op](a, other)
+    with pytest.raises(TypeError):
+        OPS[op](other, a)
+    with pytest.raises(FieldMismatchError):
+        OPS[op](a, FpElement(1, 7))
+
+
+# -- RatFun with mixed operands -----------------------------------------------
+
+
+def scalars(field):
+    """Plain ints, and coefficients as the field's own elements."""
+    return st.one_of(st.integers(-60, 60),
+                     coefficients(field).map(field.coerce))
+
+
+@examples
+@given(st.data(), fields, st.sampled_from("+-*/"))
+def test_ratfun_with_a_poly_operand(data, field, op):
+    f, p = data.draw(ratfuns(field)), data.draw(polys(field))
+    if op == "/" and p.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            f / p
+        return
+    assert OPS[op](f, p) == OPS[op](f, RatFun.from_poly(p))
+
+
+@examples
+@given(st.data(), fields, st.sampled_from("+-*/"))
+def test_ratfun_with_a_scalar_on_either_side(data, field, op):
+    f, c = data.draw(ratfuns(field)), data.draw(scalars(field))
+    lifted = RatFun.constant(field.coerce(c), field)
+    if op != "/" or not lifted.is_zero:
+        assert OPS[op](f, c) == OPS[op](f, lifted)
+    if op != "/" or not f.is_zero:
+        assert OPS[op](c, f) == OPS[op](lifted, f)
+    if op == "-":
+        assert c - f == -(f - c)
+
+
+@examples
+@given(st.data(), fields, st.integers(-3, 3))
+def test_ratfun_integer_powers(data, field, n):
+    f = data.draw(ratfuns(field))
+    if f.is_zero and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            f ** n
+        return
+    power = RatFun.one(field)
+    for _ in range(abs(n)):
+        power = power * f
+    assert f ** n == (power if n >= 0 else 1 / power)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_ratfun_foreign_operands_are_refused(op):
+    f = parse_ratfun("1/z")
+    for other in (object(), 1.5):
+        with pytest.raises(TypeError):
+            OPS[op](f, other)
+        with pytest.raises(TypeError):
+            OPS[op](other, f)
+    with pytest.raises(FieldMismatchError):
+        OPS[op](f, Poly.one(PrimeField(5)))
