@@ -1,8 +1,9 @@
 """The one refusal for work over a caller's budget.
 
 Entry points whose cost is known before any work starts (slice candidates,
-series terms) compare it with a budget and raise `BudgetError` instead of
-running for hours; the CLI reports `required` and exits 1.
+series terms, the bytes of a parsed power) compare it with a budget and
+raise `BudgetError` instead of running for hours; the CLI reports
+`required` and exits 1.
 """
 
 from __future__ import annotations

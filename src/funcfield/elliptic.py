@@ -26,6 +26,14 @@ coordinates are reduced by a full gcd.  `ec_multiply` and
 `canonical_height_estimate` take this route; every other point, `ec_add`
 and `degree_growth_report` use the chord-tangent law.
 
+The division values of the reference point below are sparse in a fixed
+pattern.  psi_n is isobaric of weight n^2 - 1 when x, y, A and B have
+weights 2, 3, 4 and 6 (Silverman, AEC, Ex. 3.7).  At (x, y, A, B) =
+(0, 1, z, 1) only the monomials y^j A^k B^l with 3j + 4k + 6l = n^2 - 1
+survive, and each puts z^k with k = n^2 - 1 (mod 3), so W_n = z^a g(z^3)
+(W_13 has 15 nonzero coefficients out of 43).  Products and gcds over Q
+run on g rather than on its zeros (see `poly`).
+
 The reference curve throughout the package is y^2 = x^3 + z*x + 1 with the
 generator point (0, 1): a rational elliptic surface with three I1 fibers on
 the block 4z^3 + 27 and a III* fiber at infinity, Mordell-Weil lattice of

@@ -13,10 +13,13 @@ Over Q the route of a product follows the operand lengths: short or small
 products run the schoolbook loop over Z, and the others one big-int
 multiply (Kronecker substitution: both operands evaluated at a power of
 two by the shifts GCDHEU also uses, the product read back with an offset
-per slot; a square is evaluated once and squared).  Division by a
-constant scales the numerators; other divisions are fraction-free
-pseudo-division d u = q v + r with one integer d.  Gcds run the heuristic
-gcd (GCDHEU) on the primitive numerators with a primitive
+per slot; a square is evaluated once and squared).  Before that multiply,
+and before every gcd, the supports are read: when u = z^a U(z^d) and
+v = z^b V(z^d) with d > 1, the product is z^(a+b) (U V)(z^d) and the gcd
+z^min(a, b) gcd(U, V)(z^d), so both run on U and V and not on their
+zeros.  Division by a constant scales the numerators; other divisions are
+fraction-free pseudo-division d u = q v + r with one integer d.  Gcds run
+the heuristic gcd (GCDHEU) on the primitive numerators with a primitive
 pseudo-remainder sequence as fallback; README states the cost model.
 Over F_p the schoolbook loops and the Euclidean algorithm below run on
 the residues, and the slicer and zero sets in `definability` use the
@@ -143,7 +146,9 @@ class Poly:
         same_field(self.field, other.field)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._same(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        same_field(self.field, other.field)
         a, b, field = self._ints, other._ints, self.field
         p = field.characteristic
         if p:
@@ -154,6 +159,8 @@ class Poly:
                               zip_longest(a, b, fillvalue=0)]), d, field)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Poly":
@@ -163,19 +170,16 @@ class Poly:
         return _poly([-c for c in self._ints], self._den, self.field)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._same(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        same_field(self.field, other.field)
         a, b, field = self._ints, other._ints, self.field
         if not a or not b:
             return _poly((), 1, field)
         p = field.characteristic
         if p:
             return _poly(_mul(a, b, p), 1, field)
-        if (min(len(a), len(b)) <= _SCHOOLBOOK_SHORT
-                or len(a) * len(b) <= _SCHOOLBOOK_TERMS):
-            ints = _mul(a, b, 0)
-        else:
-            ints = _kronecker_mul(a, b)
-        return _q_poly(ints, self._den * other._den, field)
+        return _q_poly(_int_mul(a, b), self._den * other._den, field)
 
     def scale(self, c) -> "Poly":
         field, p = self.field, self.field.characteristic
@@ -409,6 +413,46 @@ _SCHOOLBOOK_SHORT = 5
 _SCHOOLBOOK_TERMS = 144
 
 
+def _int_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
+    """Product of two nonzero integer lists.  Short ones run `_mul`; for
+    the others, when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the
+    product z^(a+b) (U V)(z^d) is spread from U V, itself routed by the
+    same rule, and otherwise `_kronecker_mul` runs.  A square (u is v)
+    stays a square."""
+    if (min(len(u), len(v)) <= _SCHOOLBOOK_SHORT
+            or len(u) * len(v) <= _SCHOOLBOOK_TERMS):
+        return _mul(u, v, 0)
+    a, d = _stride(u)
+    if d != 1:
+        b, e = (a, d) if u is v else _stride(v)
+        d = int_gcd(d, e)
+        if d > 1:
+            deflated = u[a::d]
+            out = [0] * (len(u) + len(v) - 1)
+            out[a + b::d] = _int_mul(deflated,
+                                     deflated if u is v else v[b::d])
+            return out
+    return _kronecker_mul(u, v)
+
+
+def _stride(cs: Sequence[int]) -> Tuple[int, int]:
+    """(a, d) with cs = z^a U(z^d) and d as large as possible, for a
+    nonzero list: a is the index of the first nonzero coefficient and d
+    the gcd of the distances from it to the others (0 for a single term,
+    which has every stride).  The scan stops at the first d of 1, so a
+    dense list costs two steps."""
+    a = 0
+    while not cs[a]:
+        a += 1
+    d = 0
+    for i in range(a + 1, len(cs)):
+        if cs[i]:
+            d = int_gcd(d, i - a)
+            if d == 1:
+                break
+    return a, d
+
+
 def _kronecker_mul(u: List[int], v: List[int]) -> List[int]:
     """Product of two integer coefficient lists by one big-int multiply.
 
@@ -508,15 +552,36 @@ def _int_primitive(cs: List[int]) -> List[int]:
 
 def _rational_gcd(u: Sequence[int], v: Sequence[int], field: Field) -> Poly:
     """Monic gcd of nonconstant polynomials over Q with numerators u and v,
-    from the gcd over Z of their primitive parts."""
+    from the gcd over Z of their primitive parts.
+
+    When u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the gcd is
+    z^min(a, b) gcd(U, V)(z^d): z -> z^d is an injective ring map that
+    commutes with division with remainder, and z divides neither U(z^d)
+    nor V(z^d)."""
+    a, d = _stride(u)
+    b, e = _stride(v)
+    d = int_gcd(d, e)
+    if d > 1:
+        g = _primitive_gcd(u[a::d], v[b::d])
+        m = min(a, b)
+        h = [0] * (m + d * (len(g) - 1) + 1)
+        h[m::d] = g
+    else:
+        h = _primitive_gcd(u, v)
+    return _poly(h, h[-1], field)
+
+
+def _primitive_gcd(u: Sequence[int], v: Sequence[int]) -> List[int]:
+    """Primitive gcd with a positive leading coefficient of two nonzero
+    integer lists."""
+    if len(u) == 1 or len(v) == 1:
+        return [1]
     u, v = _int_primitive(list(u)), _int_primitive(list(v))
     if len(u) < len(v):
         u, v = v, u
     if len(v) == 2:
-        h = v if _divides(v, u) else [1]
-    else:
-        h = _heu_gcd(u, v) or _prs_gcd(u, v)
-    return _poly(h, h[-1], field)
+        return v if _divides(v, u) else [1]
+    return _heu_gcd(u, v) or _prs_gcd(u, v)
 
 
 def _divides(v: List[int], u: List[int]) -> bool:

@@ -11,7 +11,9 @@ one cancellation at the end, so "1/z^2 - 2 + z^2" and "(1 - z^2)^2/z^2"
 parse to the same value.  A quotient of two nonconstant polynomials is
 cancelled once more before it is raised to a power of 2 or more, so
 "((z^2 - 1)/(z - 1))^300" expands (z + 1)^300 and not its uncancelled
-form; polynomial bases take no gcd.
+form; polynomial bases take no gcd.  A power whose result is predicted
+from its base to take more than POWER_BUDGET bytes raises BudgetError
+before it is expanded.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .budget import BudgetError
 from .fields import Field, QQ
 from .poly import Poly, poly_gcd
 from .ratfun import INFINITY, RatFun
+
+# The largest power the parser expands, in predicted bytes of the result
+# (`_power_bytes`); at this size an expansion takes about a second.
+POWER_BUDGET = 1_250_000
 
 
 class ParseError(ValueError):
@@ -161,6 +168,10 @@ class _Parser:
                 common = poly_gcd(num, den)
                 if common.degree > 0:
                     num, den = num // common, den // common
+            required = (_power_bytes(num, exponent)
+                        + _power_bytes(den, exponent))
+            if required > POWER_BUDGET:
+                raise BudgetError(required, POWER_BUDGET, "power", "bytes")
             return num ** exponent, den ** exponent
         return num, den
 
@@ -192,6 +203,24 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError("expected a number, z, or '('", pos)
+
+
+def _power_bytes(f: Poly, e: int) -> int:
+    """A bound on the bytes of f^e for e >= 0, read off f = N / d alone.
+
+    f^e has e deg(f) + 1 coefficients (one for f = 0).  Each numerator of
+    N^e is at most |N|_1^e <= 2^B in absolute value, with |N|_1 the sum of
+    the absolute values of the coefficients of N and B = e ceil(log2
+    |N|_1), so it fits in B // 8 + 1 bytes; a product gives every
+    coefficient such a slot of whole bytes, as a Kronecker product does.
+    d^e is one more number, bounded the same way.  Over F_p, N holds the
+    residues and the bound is that of the same power over Z, which
+    reduction mod p only shrinks.
+    """
+    ints = f._ints
+    count = e * (len(ints) - 1) + 1 if ints else 1
+    slot = e * (sum(map(abs, ints)) - 1).bit_length() // 8 + 1
+    return count * slot + e * (f._den - 1).bit_length() // 8 + 1
 
 
 def _quotient(text: str, field: Field) -> Optional[Poly]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from funcfield import analytic, cli, elliptic
+from funcfield import analytic, cli, elliptic, textio
 from funcfield.cli import dispatch, main
 from funcfield.elliptic import generator_point, on_curve
 from funcfield.textio import parse_ratfun
@@ -223,6 +223,14 @@ def test_budget_error_reports_required_count():
                        "--max-candidates", "3"])
     assert report.exit_code == 1
     assert report.outputs["required"] == 32
+
+
+def test_a_power_over_the_budget_exits_1_at_once():
+    start = time.perf_counter()
+    report = dispatch(["deg", "--f", "(z+1)^200000"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] > textio.POWER_BUDGET
 
 
 def test_eval_f_refuses_deep_points_at_once():

@@ -459,6 +459,152 @@ def test_gcd_heuristic_retries_with_a_larger_point(monkeypatch, prs_calls):
     assert len(prs_calls) == 1
 
 
+# -- products and gcds over Q on the stride of the support ------------------
+
+STRIDES = (2, 3, 5)
+OFFSETS = (0, 1, 4)
+
+
+def inflated(cs, a, d):
+    """The coefficient list of z^a U(z^d), where cs is that of U."""
+    out = [0] * (a + d * (len(cs) - 1) + 1)
+    out[a::d] = cs
+    return out
+
+
+def strided_ints(rng, a, d, length, bits):
+    """z^a U(z^d) for a random U of the given length with U(0) != 0, so
+    that a is the offset and d divides the stride."""
+    cs = random_ints(rng, length, bits)
+    cs[0] = cs[0] or rng.choice((-1, 1)) << rng.randint(0, bits)
+    return inflated(cs, a, d)
+
+
+def common_stride(u, v):
+    """gcd of the strides of two nonzero lists (0 for two single terms)."""
+    return gcd(poly._stride(u)[1], poly._stride(v)[1])
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """The operand pairs `_kronecker_mul` packs."""
+    calls = []
+    kronecker = poly._kronecker_mul
+
+    def recording(u, v):
+        calls.append((list(u), list(v)))
+        return kronecker(u, v)
+
+    monkeypatch.setattr(poly, "_kronecker_mul", recording)
+    return calls
+
+
+def dense_gcd(u, v, monkeypatch):
+    """poly_gcd with every support taken as dense."""
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_stride", lambda cs: (0, 1))
+        return poly_gcd(u, v)
+
+
+def test_stride_reads_offset_and_stride():
+    cases = [([5], (0, 0)), ([0, 0, 7], (2, 0)), ([1, 1], (0, 1)),
+             ([0, 3, 0, 0, 0, 2], (1, 4)), ([2, 0, 0, 0, 0, 0, 1], (0, 6)),
+             ([1, 0, 1, 0, 0, 0, 1], (0, 2)), ([1, 0, 0, 1, 0, 1], (0, 1)),
+             (inflated([3, 0, -1, 4], 4, 5), (4, 5))]
+    for cs, expected in cases:
+        assert poly._stride(cs) == poly._stride(tuple(cs)) == expected
+
+
+def test_q_strided_products_match_schoolbook(kronecker_calls,
+                                             rng=random.Random(4414)):
+    lengths = (1, 2, 6, 13, 30)
+    for d in STRIDES:
+        for a in OFFSETS:
+            for b in OFFSETS:
+                for la in lengths:
+                    for bits in (1, 700):
+                        lb = rng.choice(lengths)
+                        u = strided_ints(rng, a, d, la, bits)
+                        v = strided_ints(rng, b, d, lb, bits)
+                        pu, pv = Poly(u, QQ), Poly(v, QQ)
+                        expected = stripped(schoolbook_mul(u, v, 0))
+                        assert (pu * pv)._ints == (pv * pu)._ints == expected
+                        square = pu * pu
+                        assert square._ints == stripped(
+                            schoolbook_mul(u, u, 0))
+                        assert square == pu * Poly(u, QQ)
+    # the strides meet: no packed pair shares a stride above 1, and the
+    # deflated pairs are routed by their own lengths
+    assert kronecker_calls
+    assert all(common_stride(u, v) == 1 for u, v in kronecker_calls)
+    assert not any(schoolbook_route(len(u), len(v))
+                   for u, v in kronecker_calls)
+
+
+def test_q_mixed_strides_and_single_terms(kronecker_calls,
+                                          rng=random.Random(4415)):
+    for bits in (1, 700):
+        # strides 2 and 3 share none: the product is packed dense
+        u = strided_ints(rng, 1, 2, 20, bits)
+        v = strided_ints(rng, 0, 3, 20, bits)
+        kronecker_calls.clear()
+        assert (Poly(u, QQ) * Poly(v, QQ))._ints == stripped(
+            schoolbook_mul(u, v, 0))
+        assert [(len(x), len(y)) for x, y in kronecker_calls] \
+            == [(len(u), len(v))]
+        # a single term has every stride: it takes the other's
+        c = rng.choice((-1, 1)) << rng.randint(0, bits)
+        for k in (0, 1, 12, 40):
+            term = [0] * k + [c]
+            for other in (u, v):
+                expected = stripped(schoolbook_mul(term, other, 0))
+                assert (Poly(term, QQ) * Poly(other, QQ))._ints == expected
+                g = poly_gcd(Poly(term, QQ), Poly(other, QQ))
+                low = next(i for i, x in enumerate(other) if x)
+                assert g == (Z ** min(k, low) if k else Poly.one(QQ))
+        # two single terms: z^12 and z^40
+        assert poly_gcd((Z ** 12).scale(c), Z ** 40) == Z ** 12
+        assert Z ** 12 * (Z ** 40).scale(c) == (Z ** 52).scale(c)
+
+
+def strided_gcd_pairs(rng):
+    """z^a (G C1)(z^d) and z^b (G C2)(z^d) over Q, G of 1 to 4 terms."""
+    for d in STRIDES:
+        for a in OFFSETS:
+            for b in OFFSETS:
+                for bits in (1, 700):
+                    g = strided_ints(rng, 0, 1, rng.randint(1, 4), bits)
+                    c1 = strided_ints(rng, 0, 1, rng.randint(1, 12), bits)
+                    c2 = strided_ints(rng, 0, 1, rng.randint(1, 12), bits)
+                    u = Poly(inflated(schoolbook_mul(g, c1, 0), a, d), QQ)
+                    v = Poly(inflated(schoolbook_mul(g, c2, 0), b, d), QQ)
+                    yield u.scale(Fraction(1, 3)), v.scale(Fraction(-2, 5))
+
+
+def test_q_strided_gcds_match_the_dense_route(monkeypatch, prs_calls,
+                                              rng=random.Random(4416)):
+    for u, v in strided_gcd_pairs(rng):
+        g = poly_gcd(u, v)
+        assert g == poly_gcd(v, u) == dense_gcd(u, v, monkeypatch)
+        assert g.lc == 1 and (u % g).is_zero and (v % g).is_zero
+        assert_canonical(g)
+    assert not prs_calls
+
+
+def test_q_strided_gcds_match_sympy(rng=random.Random(4417)):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], z, domain=sympy.QQ)
+
+    for u, v in strided_gcd_pairs(rng):
+        ref = sympy.gcd(to_sympy(u), to_sympy(v)).all_coeffs()
+        assert poly_gcd(u, v) == monic_of([Fraction(int(c.p), int(c.q))
+                                           for c in reversed(ref)])
+
+
 # -- F_p[z] against FpElement loops -----------------------------------------
 
 FP_FIELDS = [PrimeField(p) for p in (2, 3, 5, 97, 10 ** 9 + 7)]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from funcfield.fields import (FieldMismatchError, FpElement,  # noqa: E402
                               PrimeField, QQ)
-from funcfield.poly import Poly  # noqa: E402
+from funcfield.poly import Poly, poly_gcd  # noqa: E402
 from funcfield.ratfun import RatFun  # noqa: E402
 from funcfield.textio import ParseError, parse_poly, parse_ratfun  # noqa: E402
 
@@ -117,6 +117,29 @@ def test_q_division_undoes_a_product(a, b, r):
     assert quot * b + rem == a * b + r and rem.degree < b.degree
 
 
+def inflate(p, a, d):
+    """z^a p(z^d)."""
+    cs = [0] * (a + d * p.degree + 1)
+    cs[a::d] = p.coeffs
+    return Poly(cs, QQ)
+
+
+# U(0) != 0, so that z^a U(z^d) has offset a
+q_units_at_zero = q_polys.filter(lambda p: p.coefficient(0))
+
+
+@examples
+@given(q_units_at_zero, q_units_at_zero, q_units_at_zero,
+       st.sampled_from((2, 3, 5)), st.integers(0, 4), st.integers(0, 4))
+def test_q_products_and_gcds_commute_with_z_to_z_power_d(u, v, w, d, a, b):
+    u, v = u * w, v * w
+    x, y = inflate(u, a, d), inflate(v, b, d)
+    assert x * y == inflate(u * v, a + b, d)
+    assert x * x == inflate(u * u, 2 * a, d)
+    assert poly_gcd(x, y) \
+        == Poly.gen(QQ) ** min(a, b) * inflate(poly_gcd(u, v), 0, d)
+
+
 # -- field laws of F_p ---------------------------------------------------------
 
 
@@ -192,6 +215,23 @@ def test_ratfun_with_a_poly_operand(data, field, op):
             f / p
         return
     assert OPS[op](f, p) == OPS[op](f, RatFun.from_poly(p))
+
+
+@examples
+@given(st.data(), fields, st.sampled_from("+-*/"))
+def test_poly_with_a_ratfun_operand(data, field, op):
+    p, f = data.draw(polys(field)), data.draw(ratfuns(field))
+    if op == "/" and f.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p / f
+        return
+    assert OPS[op](p, f) == OPS[op](RatFun.from_poly(p), f)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_poly_and_ratfun_of_different_fields_are_refused(op):
+    with pytest.raises(FieldMismatchError):
+        OPS[op](Poly.one(PrimeField(5)), parse_ratfun("1/z"))
 
 
 @examples

@@ -9,6 +9,7 @@ from typing import NamedTuple, Optional, Tuple
 import pytest
 
 from funcfield import poly, ratfun, textio
+from funcfield.budget import BudgetError
 from funcfield.cli import dispatch
 from funcfield.fields import PrimeField, QQ
 from funcfield.ratfun import RatFun
@@ -351,3 +352,60 @@ def test_a_power_of_a_quotient_is_cancelled_before_it_is_raised(
     assert parse_ratfun("((z - 1)/(z^2 - 1))^-3") == parse_ratfun("(z + 1)^3")
     # a quotient with nothing in common is raised as it is
     assert parse_ratfun("(z/(z + 1))^2") == parse_ratfun("z^2/(z^2 + 2*z + 1)")
+
+
+# -- the budget of a power ----------------------------------------------------
+
+
+def stored_bytes(f):
+    """Whole bytes of the stored numerators and denominator of f."""
+    return sum(-(-abs(c).bit_length() // 8) for c in f._ints + (f._den,))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_power_bytes_bound_the_expanded_power(field, rng=random.Random(7301)):
+    bases = ["z", "1", "2", "-3/4", "z + 1", "z^2 - z - 1", "2*z - 2",
+             "(2^64 + 1)*z + 2^64", "z/2 + 1/3", "7*z^3 - 5/6*z + 11"]
+    bases += [" + ".join(f"{rng.randint(-99, 99)}*z^{i}"
+                         for i in range(rng.randint(1, 6)))
+              for _ in range(6)]
+    for text in bases:
+        if field.characteristic and "/" in text:
+            continue
+        f = parse_poly(text, field)
+        for e in (0, 1, 2, 3, 7, 8, 9, 30):
+            assert textio._power_bytes(f, e) >= stored_bytes(f ** e), \
+                (text, e)
+
+
+def test_a_power_over_the_budget_is_refused_before_it_is_expanded(
+        monkeypatch):
+    powers = []
+    power = poly.Poly.__pow__
+
+    def recording_pow(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(poly.Poly, "__pow__", recording_pow)
+    for text in ("(z + 1)^200000", "(z + 1)^-200000", "1/(z - 1)^200000",
+                 "((z^2 - 1)/(z - 1))^200000", "3^99999999",
+                 "z^" + "9" * 400):
+        with pytest.raises(BudgetError) as info:
+            parse_ratfun(text)
+        assert info.value.budget == textio.POWER_BUDGET
+        assert info.value.required > textio.POWER_BUDGET
+    assert max(powers) == 2  # only the z^2 inside a base was expanded
+    # the budget is inclusive: the largest accepted power of z + 1 expands
+    base, one = parse_poly("z + 1"), parse_poly("1")
+
+    def required(e):  # numerator and denominator
+        return textio._power_bytes(base, e) + textio._power_bytes(one, e)
+
+    monkeypatch.setattr(textio, "POWER_BUDGET", required(40))
+    assert parse_poly("(z + 1)^40") == power(base, 40)
+    with pytest.raises(BudgetError) as info:
+        parse_poly("(z + 1)^41")
+    assert info.value.required == required(41)
+    # powers of units cost nothing, whatever the exponent
+    assert parse_ratfun("(-1)^" + "9" * 400) == RatFun.constant(-1)
