@@ -1,16 +1,16 @@
 """The elliptic curve y^2 = x^3 + A x + B over k(z), exactly.
 
-Everything here is short-Weierstrass, characteristic 0.  Beyond the group
-law and point multiplication, the module computes naive heights (degree of
-the x-coordinate), canonical-height estimates h(2^k P)/4^k, the c4/c6/delta
-invariants, the Kodaira type of each bad fiber from the valuation triple of
-a minimal model, and the Shioda-Tate rank count for rational elliptic
-surfaces.
+Everything here is short-Weierstrass, so the characteristic is not 2.
+Beyond the group law and point multiplication, the module computes naive
+heights (degree of the x-coordinate), canonical-height estimates
+h(2^k P)/4^k, the c4/c6/delta invariants, the Kodaira type of each bad
+fiber from the valuation triple of a minimal model (characteristic 0),
+and the Shioda-Tate rank count for rational elliptic surfaces.
 
-Multiples nP (|n| >= 2) of a point whose coordinates are polynomials, on a
-curve with polynomial A and B in characteristic 0 and with y(P) != 0, come
-from the division values W_k = psi_k(P) in k[z] (Ward's elliptic
-divisibility sequence) rather than from chord-tangent steps:
+Multiples nP (|n| >= 2) of a point with y(P) != 0 come from the division
+values W_k = psi_k(P) in k[z] (Ward's elliptic divisibility sequence) on
+a model (u^2 x, u^3 y, u^4 A, u^6 B) where all four are polynomials
+(`_integral_model`), mapped back by x / u^2 and y / u^3.  On that model
 
     x(nP) = (x W_n^2 - W_{n-1} W_{n+1}) / W_n^2,
     y(nP) = Omega_n / (2 W_n^3),
@@ -23,8 +23,8 @@ gcd(W_n, W_{n+1}) are constant, both coordinates are in lowest terms as
 they stand (the proof is at `_division_multiple`).  A point through the
 singular point of a finite fiber makes them nonconstant, and then both
 coordinates are reduced by a full gcd.  `ec_multiply` and
-`canonical_height_estimate` take this route; every other point, `ec_add`
-and `degree_growth_report` use the chord-tangent law.
+`canonical_height_estimate` take this route; `ec_add` and
+`degree_growth_report` use the chord-tangent law.
 
 The division values of the reference point below are sparse in a fixed
 pattern.  psi_n is isobaric of weight n^2 - 1 when x, y, A and B have
@@ -49,7 +49,7 @@ from typing import List, Optional, Tuple
 
 from .divisors import Place
 from .fields import Field, QQ, same_field
-from .poly import Poly, poly_gcd, squarefree_decomposition
+from .poly import Poly, poly_gcd, radical, squarefree_decomposition
 from .ratfun import RatFun
 
 
@@ -71,15 +71,16 @@ class TorsionPointError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Curve:
-    """y^2 = x^3 + A x + B with nonzero discriminant."""
+    """y^2 = x^3 + A x + B with nonzero discriminant (never over F_2)."""
 
     A: RatFun
     B: RatFun
 
     def __post_init__(self):
         same_field(self.A.field, self.B.field)
-        if not (4 * self.A ** 3 + 27 * self.B ** 2):
-            raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
+        if self.field.characteristic == 2 \
+                or not (4 * self.A ** 3 + 27 * self.B ** 2):
+            raise ValueError("singular curve: -16(4A^3 + 27B^2) = 0")
 
     @property
     def field(self) -> Field:
@@ -180,48 +181,44 @@ def ec_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
 
 
 def ec_multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
-    """n-th multiple: from the division values for |n| >= 2 when the
-    point qualifies (see the module docstring), else by double-and-add;
-    negative n via negation."""
+    """n-th multiple, from the division values of P on a polynomial model
+    for |n| >= 2 (see the module docstring); negative n via negation."""
     _require_on_curve(curve, point)
-    if abs(n) >= 2 and _on_division_route(curve, point):
-        multiple = _division_multiple(curve, point, abs(n))
-        return multiple if n > 0 else -multiple
-    return _multiply(curve, n, point)
-
-
-def _multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
-    """n-th multiple by chord-tangent double-and-add."""
-    if n == 0:
+    if n == 0 or point.is_identity or (point.y.is_zero and n % 2 == 0):
         return ECPoint.identity()
-    if n < 0:
-        n, point = -n, -point
-    result = ECPoint.identity()
-    base = point
-    while n:
-        if n & 1:
-            result = _add(curve, result, base)
-        n >>= 1
-        if n:
-            base = _add(curve, base, base)
-    return result
+    if abs(n) == 1 or point.y.is_zero:  # W_2 = 2y = 0 cannot divide
+        return point if n > 0 else -point
+    u, model, base = _integral_model(curve, point)
+    multiple = _division_multiple(model, base, abs(n))
+    if u is not None and not multiple.is_identity:
+        multiple = ECPoint.affine(multiple.x / u ** 2, multiple.y / u ** 3)
+    return multiple if n > 0 else -multiple
 
 
 # -- multiples from the division values -----------------------------------
 
 
-def _on_division_route(curve: Curve, point: ECPoint) -> bool:
-    """Whether multiples of the point come from its division values:
-    A, B, x(P) and y(P) polynomials, y(P) != 0, characteristic 0."""
-    return (curve.field.characteristic == 0 and not point.is_identity
-            and curve.A.is_polynomial and curve.B.is_polynomial
-            and point.x.is_polynomial and point.y.is_polynomial
-            and not point.y.is_zero)
+def _integral_model(curve: Curve, point: ECPoint):
+    """(u, E', P') with E': y^2 = x^3 + u^4 A x + u^6 B and P' = (u^2 x,
+    u^3 y), for the least monic u making all four polynomials (Silverman,
+    AEC, III.1), or (None, E, P) when they already are.  Each round takes
+    up to 4 and 6 off every pole order of A and B; then `on_curve`'s
+    E^2 = D^3 gives x = X / Z^2 and y = Y / Z^3, so Z = den y / den x."""
+    a, b, x, y = curve.A, curve.B, point.x, point.y
+    if a.is_polynomial and b.is_polynomial and x.is_polynomial:
+        return None, curve, point
+    u = Poly.one(curve.field)
+    while not (a.is_polynomial and b.is_polynomial):
+        t = radical(a.den * b.den)
+        a, b, x, y, u = a * t ** 4, b * t ** 6, x * t ** 2, y * t ** 3, u * t
+    z = y.den // x.den
+    return u * z, Curve(a * z ** 4, b * z ** 6), \
+        ECPoint.affine(x * z ** 2, y * z ** 3)
 
 
 def _division_values(curve: Curve, point: ECPoint):
-    """k -> W_k = psi_k(P) in k[z], memoized, for a point on the division
-    route.
+    """k -> W_k = psi_k(P) in k[z], memoized, for a point with y(P) != 0
+    on a curve where A, B, x(P) and y(P) are polynomials.
 
     W_0..W_4 are the division polynomials evaluated at P, with W_2 = 2y;
     above that W_{2m+1} = W_{m+2} W_m^3 - W_{m-1} W_{m+1}^3 and
@@ -289,7 +286,7 @@ def _division_x(w, x: Poly, n: int):
 
 
 def _division_multiple(curve: Curve, point: ECPoint, n: int) -> ECPoint:
-    """nP for n >= 1 and a point on the division route.
+    """nP for n >= 1 and a point as `_division_values` takes it.
 
     Lowest terms: let gcd(W_n, W_{n-1}) and gcd(W_n, W_{n+1}) be constant.
     A prime dividing W_n and the numerator x W_n^2 - W_{n-1} W_{n+1} of
@@ -326,22 +323,21 @@ def _naive_height(point: ECPoint) -> int:
 def canonical_height_estimate(curve: Curve, point: ECPoint, k: int) -> Fraction:
     """h(2^k P) / 4^k as an exact rational (k >= 1, P affine non-torsion).
 
-    Only P is checked against the curve; 2^k P is computed here, from the
-    division values when P qualifies, and its height read off directly.
+    Only P is checked against the curve; x(2^k P) comes from the division
+    values on P's polynomial model, and its height is read off directly.
     """
     if k < 1:
         raise ValueError("doubling count must be >= 1")
     _require_on_curve(curve, point)
     if point.is_identity:
         raise ValueError("height estimate needs an affine point")
-    if _on_division_route(curve, point):
-        x = _division_x(_division_values(curve, point), point.x.num,
-                        2 ** k)[0]
-    else:
-        x = _multiply(curve, 2 ** k, point).x
+    if point.y.is_zero:  # 2P = O
+        raise TorsionPointError(f"{point} is torsion")
+    u, model, base = _integral_model(curve, point)
+    x = _division_x(_division_values(model, base), base.x.num, 2 ** k)[0]
     if x is None:
         raise TorsionPointError(f"{point} is torsion")
-    return Fraction(x.map_degree(), 4 ** k)
+    return Fraction((x if u is None else x / u ** 2).map_degree(), 4 ** k)
 
 
 def degree_growth_report(

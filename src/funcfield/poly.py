@@ -9,21 +9,24 @@ are built only at the edge: `Poly(coeffs, field)` validates and converts
 its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
 build them on the way out.  The variable is always called z.
 
-Over Q the route of a product follows the operand lengths: short or small
-products run the schoolbook loop over Z, and the others one big-int
-multiply (Kronecker substitution: both operands evaluated at a power of
-two by the shifts GCDHEU also uses, the product read back with an offset
-per slot; a square is evaluated once and squared).  Before that multiply,
-and before every gcd, the supports are read: when u = z^a U(z^d) and
-v = z^b V(z^d) with d > 1, the product is z^(a+b) (U V)(z^d) and the gcd
-z^min(a, b) gcd(U, V)(z^d), so both run on U and V and not on their
-zeros.  Division by a constant scales the numerators; other divisions are
-fraction-free pseudo-division d u = q v + r with one integer d.  Gcds run
-the heuristic gcd (GCDHEU) on the primitive numerators with a primitive
+A product takes one route over both fields, on the ints: the route
+follows the operand lengths, and over F_p each coefficient of the
+integer product is reduced mod p once.  Short or small products run the
+schoolbook loop over Z, and the others one big-int multiply (Kronecker
+substitution: both operands evaluated at a power of two by the shifts
+GCDHEU also uses, the product read back with an offset per slot; a
+square is evaluated once and squared).  Before that multiply, and before
+every gcd over Q, the supports are read: a single term c z^k is a shift
+and a scale, and when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the
+product is z^(a+b) (U V)(z^d) and the gcd z^min(a, b) gcd(U, V)(z^d), so
+both run on U and V and not on their zeros.  Over Q, division by a
+constant scales the numerators; other divisions are fraction-free
+pseudo-division d u = q v + r with one integer d.  Gcds over Q run the
+heuristic gcd (GCDHEU) on the primitive numerators with a primitive
 pseudo-remainder sequence as fallback; README states the cost model.
-Over F_p the schoolbook loops and the Euclidean algorithm below run on
-the residues, and the slicer and zero sets in `definability` use the
-same kernels.  Squarefree decomposition is the derivative-gcd cascade
+Over F_p division and the Euclidean algorithm below run on the residues,
+and the slicer and zero sets in `definability` use those kernels and the
+schoolbook product.  Squarefree decomposition is the derivative-gcd cascade
 (Yun); in characteristic p a nonzero part with vanishing derivative
 aborts with an explicit inseparable-part report.
 """
@@ -178,7 +181,8 @@ class Poly:
             return _poly((), 1, field)
         p = field.characteristic
         if p:
-            return _poly(_mul(a, b, p), 1, field)
+            # p is prime, so the leading residue lc(a) lc(b) is nonzero
+            return _poly([c % p for c in _int_mul(a, b)], 1, field)
         return _q_poly(_int_mul(a, b), self._den * other._den, field)
 
     def scale(self, c) -> "Poly":
@@ -331,8 +335,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # -- F_p[z] on int lists ---------------------------------------------------
 #
 # Coefficient lists of ints in [0, p), low degree first, with no trailing
-# zeros ([] is the zero polynomial).  They are the F_p arithmetic of Poly,
-# and the slicer and zero sets in `definability` run on them directly.
+# zeros ([] is the zero polynomial).  They are the F_p sums, divisions and
+# gcds of Poly (its products run `_int_mul`), and the slicer and zero sets
+# in `definability` run on them directly, products included.
 
 
 def _trim(cs: List[int]) -> List[int]:
@@ -403,9 +408,9 @@ def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
     return result
 
 
-# -- integer kernels over Q ------------------------------------------------
+# -- integer kernels: products over both fields, the rest over Q ----------
 
-# Products over Q with a factor of at most _SCHOOLBOOK_SHORT terms, or with
+# Products with a factor of at most _SCHOOLBOOK_SHORT terms, or with
 # at most _SCHOOLBOOK_TERMS coefficient products, run the schoolbook `_mul`
 # over Z; larger ones run `_kronecker_mul`.  The crossover comes from timing
 # both on dense operands of 4 to 1024 bits (the table is in CHANGES.md).
@@ -414,17 +419,23 @@ _SCHOOLBOOK_TERMS = 144
 
 
 def _int_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
-    """Product of two nonzero integer lists.  Short ones run `_mul`; for
-    the others, when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the
-    product z^(a+b) (U V)(z^d) is spread from U V, itself routed by the
-    same rule, and otherwise `_kronecker_mul` runs.  A square (u is v)
-    stays a square."""
+    """Product of two nonzero integer lists.  Short ones run `_mul`.  For
+    the others, v's support is read only when u is not dense, so dense
+    products pay one short scan: a single term c z^a is a shift and a
+    scale; when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the product
+    z^(a+b) (U V)(z^d) is spread from U V, itself routed by the same rule;
+    and otherwise `_kronecker_mul` runs.  A square (u is v) stays a
+    square."""
     if (min(len(u), len(v)) <= _SCHOOLBOOK_SHORT
             or len(u) * len(v) <= _SCHOOLBOOK_TERMS):
         return _mul(u, v, 0)
     a, d = _stride(u)
     if d != 1:
         b, e = (a, d) if u is v else _stride(v)
+        if not d * e:
+            if d:
+                u, v, a = v, u, b
+            return [0] * a + [u[a] * c for c in v]
         d = int_gcd(d, e)
         if d > 1:
             deflated = u[a::d]

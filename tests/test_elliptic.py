@@ -39,6 +39,15 @@ P2_ORACLE = ECPoint.affine(R("z^2/4"), R("-z^3/8 - 1"))
 def test_singular_curve_rejected():
     with pytest.raises(ValueError):
         Curve(RatFun.zero(QQ), RatFun.zero(QQ))
+    # delta = -16(4A^3 + 27B^2) vanishes in characteristic 2, where the
+    # short Weierstrass form is always singular
+    with pytest.raises(ValueError):
+        default_curve(PrimeField(2))
+    # in characteristic 3, delta = -A^3: A != 0 is a curve, A = 0 is not
+    f3 = PrimeField(3)
+    assert default_curve(f3).A == RatFun.gen(f3)
+    with pytest.raises(ValueError):
+        Curve(RatFun.zero(f3), RatFun.one(f3))
 
 
 def test_on_curve():
@@ -129,6 +138,22 @@ def test_multiply_additivity():
 # -- multiples from the division values ------------------------------------
 
 
+def chord_tangent_multiple(curve, n, point, add=elliptic._add):
+    """nP by chord-tangent double-and-add on the group law `_add` (bound
+    at import, so `_chord_tangent_steps` does not count it): the reference
+    every multiple from the division values is checked against."""
+    if n < 0:
+        n, point = -n, -point
+    result = ECPoint.identity()
+    while n:
+        if n & 1:
+            result = add(curve, result, point)
+        n >>= 1
+        if n:
+            point = add(curve, point, point)
+    return result
+
+
 def _chord_tangent_steps(monkeypatch):
     """A list that grows by one at every later chord-tangent step."""
     add = elliptic._add
@@ -160,7 +185,7 @@ NODE_POINT = ECPoint.affine(R("1 + z"), R("z"))
 
 def test_division_route_matches_chord_tangent_on_the_reference_point(
         monkeypatch):
-    expected = {n: elliptic._multiply(CURVE, n, P1) for n in range(-6, 25)}
+    expected = {n: chord_tangent_multiple(CURVE, n, P1) for n in range(-6, 25)}
     steps = _chord_tangent_steps(monkeypatch)
     for n in range(-6, 25):
         steps.clear()
@@ -174,8 +199,8 @@ def test_division_route_matches_chord_tangent_on_family_curves(monkeypatch):
     for _ in range(4):
         curve, point = _family_curve(rng)
         ns = [n for n in range(-4, 13) if abs(n) >= 2]
-        expected = [elliptic._multiply(curve, n, point) for n in ns]
-        heights = [Fraction(elliptic._multiply(curve, 2 ** k, point)
+        expected = [chord_tangent_multiple(curve, n, point) for n in ns]
+        heights = [Fraction(chord_tangent_multiple(curve, 2 ** k, point)
                             .x.map_degree(), 4 ** k) for k in (1, 2, 3)]
         with monkeypatch.context() as patch:
             steps = _chord_tangent_steps(patch)
@@ -194,10 +219,10 @@ def test_division_route_through_a_node_reduces_by_full_gcd():
         assert elliptic._division_x(w, NODE_POINT.x.num, n)[1] is False
     for n in range(-4, 13):
         assert ec_multiply(NODE_CURVE, n, NODE_POINT) \
-            == elliptic._multiply(NODE_CURVE, n, NODE_POINT)
+            == chord_tangent_multiple(NODE_CURVE, n, NODE_POINT)
     for k in (1, 2, 3):
         assert canonical_height_estimate(NODE_CURVE, NODE_POINT, k) \
-            == Fraction(elliptic._multiply(NODE_CURVE, 2 ** k, NODE_POINT)
+            == Fraction(chord_tangent_multiple(NODE_CURVE, 2 ** k, NODE_POINT)
                         .x.map_degree(), 4 ** k)
 
 
@@ -208,7 +233,7 @@ def test_division_route_on_torsion_points():
         w = elliptic._division_values(curve, point)
         for n in range(-7, 14):
             multiple = ec_multiply(curve, n, point)
-            assert multiple == elliptic._multiply(curve, n, point)
+            assert multiple == chord_tangent_multiple(curve, n, point)
             assert multiple.is_identity == (n % order == 0)
             assert w(n).is_zero == (n % order == 0)
         # no power of two is a multiple of 3 or 6
@@ -223,32 +248,89 @@ def test_division_route_on_torsion_points():
         canonical_height_estimate(curve, point, 2)
 
 
-def test_points_off_the_division_route_take_chord_tangent(monkeypatch):
+def test_rational_and_fp_points_take_the_division_values(monkeypatch):
     p3 = ec_multiply(CURVE, 3, P1)  # x = (8z^3 + 64)/z^4
     fp_curve = default_curve(PrimeField(101))
     fp_point = generator_point(PrimeField(101))
     rational_a = Curve(R("1/z"), R("1"))  # through (0, 1)
-    expected = [(CURVE, p3, ec_multiply(CURVE, 6, P1))]
-    expected += [(c, q, elliptic._multiply(c, 5, q))
-                 for c, q in ((fp_curve, fp_point), (rational_a, P1))]
-    for curve, point, _ in expected:
-        assert not elliptic._on_division_route(curve, point)
+    cases = [(CURVE, p3), (fp_curve, fp_point), (rational_a, P1)]
+    # the models scale by u = z^2 (the pole of x(3P)), 1 and z (A's pole)
+    assert [elliptic._integral_model(curve, point)[0] for curve, point
+            in cases] == [parse_poly("z^2"), None, parse_poly("z")]
+    expected = [chord_tangent_multiple(curve, 5, point)
+                for curve, point in cases]
     steps = _chord_tangent_steps(monkeypatch)
-    assert ec_multiply(CURVE, 2, p3) == expected[0][2]
-    assert steps
-    for curve, point, five_p in expected[1:]:
-        steps.clear()
+    assert ec_multiply(CURVE, 2, p3) == ec_multiply(CURVE, 6, P1)
+    for (curve, point), five_p in zip(cases, expected):
         assert ec_multiply(curve, 5, point) == five_p
-        assert steps
         assert on_curve(curve, five_p)
+    assert not steps
 
 
-def test_canonical_height_of_a_point_off_the_division_route():
-    # 3P has a rational x, so its doublings take the chord-tangent law
+def test_canonical_height_of_a_rational_point(monkeypatch):
+    # 3P has a rational x; its doublings come from the division values
+    # of (z^4 x(3P), z^6 y(3P)) on the model with u = z^2
     p3 = ec_multiply(CURVE, 3, P1)
-    assert not elliptic._on_division_route(CURVE, p3)
-    assert canonical_height_estimate(CURVE, p3, 2) == \
-        Fraction(naive_height(CURVE, ec_multiply(CURVE, 12, P1)), 16)
+    expected = Fraction(chord_tangent_multiple(CURVE, 4, p3).x.map_degree(),
+                        16)
+    assert expected == Fraction(
+        naive_height(CURVE, ec_multiply(CURVE, 12, P1)), 16)
+    steps = _chord_tangent_steps(monkeypatch)
+    assert canonical_height_estimate(CURVE, p3, 2) == expected
+    assert not steps
+
+
+def _sweep_points(rng):
+    """P, 2P and 3P of the reference point over F_3, F_5, F_7 and F_101,
+    and P and 2P over Q, each also on the model scaled by 1/w for a seeded
+    monic w (so A and B are rational); a rational-A curve; a 2-torsion
+    point; and the identity."""
+    cases = []
+    for field, ms in ((QQ, (1, 2)), (PrimeField(3), (1, 2, 3)),
+                      (PrimeField(5), (1, 2, 3)), (PrimeField(7), (1, 2, 3)),
+                      (PrimeField(101), (1, 2, 3))):
+        curve, point = default_curve(field), generator_point(field)
+        cs = [rng.randrange(-2, 3) for _ in range(rng.randint(1, 2))]
+        w = RatFun.from_poly(Poly(cs + [1], field))
+        scaled = Curve(curve.A / w ** 4, curve.B / w ** 6)
+        for m in ms:
+            q = chord_tangent_multiple(curve, m, point)
+            moved = ECPoint.affine(q.x / w ** 2, q.y / w ** 3)
+            # B = 1 has no zero, so the least model of the scaled point
+            # undoes the scaling exactly
+            u = elliptic._integral_model(curve, q)[0]
+            assert elliptic._integral_model(scaled, moved)[0] \
+                == (w.num if u is None else w.num * u)
+            cases += [(curve, q), (scaled, moved)]
+    cubic = Curve(RatFun.zero(QQ), RatFun.one(QQ))  # y^2 = x^3 + 1
+    return cases + [(Curve(R("1/z"), R("1")), P1),
+                    (cubic, ECPoint.affine(R("-1"), R("0"))),
+                    (CURVE, ECPoint.identity())]
+
+
+def test_every_multiple_comes_from_the_division_values(
+        monkeypatch, rng=random.Random(2101)):
+    ns = range(-5, 11)
+    for curve, point in _sweep_points(rng):
+        assert on_curve(curve, point)
+        expected = [chord_tangent_multiple(curve, n, point) for n in ns]
+        heights = []
+        if not point.is_identity:
+            for k in (1, 2):
+                multiple = chord_tangent_multiple(curve, 2 ** k, point)
+                heights.append(None if multiple.is_identity else Fraction(
+                    multiple.x.map_degree(), 4 ** k))
+        with monkeypatch.context() as patch:
+            steps = _chord_tangent_steps(patch)
+            assert [ec_multiply(curve, n, point) for n in ns] == expected
+            for k, height in enumerate(heights, 1):
+                if height is None:
+                    with pytest.raises(TorsionPointError):
+                        canonical_height_estimate(curve, point, k)
+                else:
+                    assert canonical_height_estimate(curve, point, k) \
+                        == height
+            assert not steps
 
 
 def test_on_curve_compares_numerators_and_denominators():
@@ -328,7 +410,7 @@ def test_degree_growth_rows_match_per_n_multiples(monkeypatch):
     for curve, base, n_max in ((CURVE, P1, 10), (family, point, 8)):
         expected = []
         for n in range(1, n_max + 1):
-            degree = elliptic._multiply(curve, n, base).x.map_degree()
+            degree = chord_tangent_multiple(curve, n, base).x.map_degree()
             expected.append((n, degree, Fraction(2 * degree, n * n)))
         assert [row[1] for row in expected] \
             == [n * n // 2 for n in range(1, n_max + 1)]

@@ -565,6 +565,20 @@ def test_q_mixed_strides_and_single_terms(kronecker_calls,
         # two single terms: z^12 and z^40
         assert poly_gcd((Z ** 12).scale(c), Z ** 40) == Z ** 12
         assert Z ** 12 * (Z ** 40).scale(c) == (Z ** 52).scale(c)
+        # past the length rule a single term is a shift and a scale: on
+        # either side of a strided or another single term, and on the
+        # left of a dense one (whose support is not read)
+        big = [0] * 10 ** 4 + [c]
+        dense = random_ints(rng, 30, bits)
+        dense[0] = dense[1] = 1
+        kronecker_calls.clear()
+        for other in (u, v, big, dense):
+            expected = tuple([0] * 10 ** 4 + [c * x for x in other])
+            assert (Poly(big, QQ) * Poly(other, QQ))._ints == expected
+            if other is not dense:
+                assert (Poly(other, QQ) * Poly(big, QQ))._ints == expected
+        assert (Poly(big, QQ) ** 2)._ints == (0,) * (2 * 10 ** 4) + (c * c,)
+        assert not kronecker_calls
 
 
 def strided_gcd_pairs(rng):
@@ -675,6 +689,34 @@ def test_fp_pow_derivative_and_evaluation_match_fpelement_loops(
             assert f(x) == horner(a, x, field)
             assert isinstance(f(x), FpElement)
         assert f.monic().coeffs == (euclid_gcd(a, [], field) if a else ())
+
+
+@pytest.mark.parametrize("p", (2, 3, 97, 2 ** 61 - 1))
+def test_fp_products_match_fpelement_loops_on_every_route(
+        p, kronecker_calls, rng=random.Random(4420)):
+    """Over F_p a product runs the integer route of Q, then reduces."""
+    field = PrimeField(p)
+    lengths = (1, 2, 5, 6, 13, 30, 120)
+    for la in lengths:
+        for lb in lengths:
+            a = random_fp(rng, field, la - 1)
+            b = random_fp(rng, field, lb - 1)
+            pa, pb = Poly(a, field), Poly(b, field)
+            assert (pa * pb).coeffs == (pb * pa).coeffs \
+                == stripped(schoolbook_mul(a, b, field.zero))
+        square = Poly(a, field) * Poly(a, field)
+        assert (Poly(a, field) ** 2) == square
+        assert square.coeffs == stripped(schoolbook_mul(a, a, field.zero))
+    assert kronecker_calls
+    # a single term past the length rule on the left: a shift, not packed
+    kronecker_calls.clear()
+    term = Poly([0] * 200 + [p - 1], field)
+    dense = Poly(random_fp(rng, field, 40), field)
+    assert term * dense == Poly(
+        [0] * 200 + [(p - 1) * c.v for c in dense.coeffs], field)
+    assert term * term == Poly([0] * 400 + [1], field)
+    assert not kronecker_calls
+    assert dense * term == term * dense
 
 
 def test_fp_coefficients_are_canonical_residues():

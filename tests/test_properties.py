@@ -1,7 +1,8 @@
 """Hypothesis properties of the text syntax: printed values re-parse to
-themselves, and "(a) op (b)" parses to a op b; the ring laws of Q[z], on
-operands long enough to reach both product routes; the field laws of F_p;
-and RatFun arithmetic with Poly, int and scalar operands on either side."""
+themselves, and "(a) op (b)" parses to a op b; the ring laws of Q[z] and
+F_p[z], on operands long enough to reach both product routes; the field
+laws of F_p; and RatFun arithmetic with Poly, int and scalar operands on
+either side."""
 
 import operator
 from fractions import Fraction
@@ -112,6 +113,46 @@ def test_q_products_distribute_over_sums(a, b, c):
 @examples
 @given(q_polys, q_polys.filter(bool), q_polys)
 def test_q_division_undoes_a_product(a, b, r):
+    assert (a * b) // b == a and ((a * b) % b).is_zero
+    quot, rem = divmod(a * b + r, b)
+    assert quot * b + rem == a * b + r and rem.degree < b.degree
+
+
+# -- ring laws of F_p[z] ------------------------------------------------------
+
+# the lengths put F_p products on both sides of the crossover Q uses too
+fp_fields = st.sampled_from([f for f in FIELDS if f.characteristic])
+fp_lengths = st.sampled_from((0, 1, 3, 6, 13, 24))
+
+
+@st.composite
+def fp_triples(draw):
+    field = draw(fp_fields)
+    triple = []
+    for _ in range(3):
+        n = draw(fp_lengths)
+        cs = draw(st.lists(coefficients(field), min_size=n, max_size=n))
+        triple.append(Poly(cs, field))
+    return triple
+
+
+@examples
+@given(fp_triples())
+def test_fp_products_are_commutative_associative_and_distributive(triple):
+    a, b, c = triple
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * a == a * Poly(a.coeffs, a.field)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) * c == a * c - b * c
+
+
+@examples
+@given(fp_triples())
+def test_fp_division_undoes_a_product(triple):
+    a, b, r = triple
+    if b.is_zero:
+        return
     assert (a * b) // b == a and ((a * b) % b).is_zero
     quot, rem = divmod(a * b + r, b)
     assert quot * b + rem == a * b + r and rem.degree < b.degree
