@@ -46,7 +46,7 @@ class Report:
     inputs: dict
     outputs: dict
     ok: Optional[bool] = None
-    timing_ms: Optional[int] = None
+    timing_ms: Optional[float] = None
     exit_code: int = 0
 
     def to_json(self, stable: bool) -> str:
@@ -446,7 +446,7 @@ def _dispatch(args) -> Report:
         report = Report(args.command, {}, {"error": str(error)})
         report.exit_code = 2
         return report
-    report.timing_ms = int((time.perf_counter() - start) * 1000)
+    report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
     if report.ok is False:
         report.exit_code = 1
     return report

@@ -24,7 +24,10 @@ they stand (the proof is at `_division_multiple`).  A point through the
 singular point of a finite fiber makes them nonconstant, and then both
 coordinates are reduced by a full gcd.  `ec_multiply` and
 `canonical_height_estimate` take this route; `ec_add` and
-`degree_growth_report` use the chord-tangent law.
+`degree_growth_report` use the chord-tangent law.  On a curve with
+polynomial A and B that law runs in weighted coordinates, x = X / Z^2 and
+y = Y / Z^3, with no division, and one gcd with a divisibility
+certificate brings each sum to lowest terms (`_add`, `_lowest_weighted`).
 
 The division values of the reference point below are sparse in a fixed
 pattern.  psi_n is isobaric of weight n^2 - 1 when x, y, A and B have
@@ -158,19 +161,101 @@ def _require_on_curve(curve: Curve, point: ECPoint) -> None:
 
 
 def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """P + Q by the chord-tangent law.
+
+    With A and B polynomial, every affine point is (X / Z^2, Y / Z^3) in
+    lowest terms (`on_curve`'s E^2 = D^3), and the law in these weighted
+    coordinates (Cohen-Miyaji-Ono 1998) needs no division:
+
+        chord:   U1 = X1 Z2^2, U2 = X2 Z1^2, S1 = Y1 Z2^3, S2 = Y2 Z1^3,
+                 H = U2 - U1, R = S2 - S1,
+                 X3 = R^2 - H^3 - 2 U1 H^2, Y3 = R (U1 H^2 - X3) - S1 H^3,
+                 Z3 = Z1 Z2 H;
+        tangent: L = 3 X1^2 + A Z1^4, S = 4 X1 Y1^2,
+                 X3 = L^2 - 2 S, Y3 = L (S - X3) - 8 Y1^4, Z3 = 2 Y1 Z1.
+
+    One gcd, or three small ones when its certificate fails, brings the
+    sum to lowest terms (`_lowest_weighted`).  Other curves run the affine
+    law on `RatFun`s, where every operation cancels with its own gcds.
+    """
     if p.is_identity:
         return q
     if q.is_identity:
         return p
+    if p.x == q.x and p.y == -q.y:
+        return ECPoint.identity()
+    if not (curve.A.is_polynomial and curve.B.is_polynomial):
+        return _affine_add(curve, p, q)
+    x1, y1, z1 = p.x.num, p.y.num, _weight_den(p.x, p.y)
+    if p.x == q.x:  # then y(P) = y(Q) != 0
+        l = (x1 * x1).scale(3) + curve.A.num * (z1 * z1) ** 2
+        y1y1 = y1 * y1
+        s = (x1 * y1y1).scale(4)
+        x3 = l * l - s.scale(2)
+        return _lowest_weighted(x3, l * (s - x3) - (y1y1 * y1y1).scale(8),
+                                (y1 * z1).scale(2))
+    x2, y2, z2 = q.x.num, q.y.num, _weight_den(q.x, q.y)
+    z1z1, z2z2 = z1 * z1, z2 * z2
+    u1, s1 = x1 * z2z2, y1 * z2z2 * z2
+    h = x2 * z1z1 - u1
+    r = y2 * z1z1 * z1 - s1
+    hh = h * h
+    u1hh, hhh = u1 * hh, hh * h
+    x3 = r * r - hhh - u1hh.scale(2)
+    return _lowest_weighted(x3, r * (u1hh - x3) - s1 * hhh, z1 * z2 * h)
+
+
+def _affine_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
+    """P + Q on `RatFun`s for affine P and Q != -P, on any curve."""
     if p.x == q.x:
-        if p.y == -q.y:
-            return ECPoint.identity()
         slope = (3 * p.x ** 2 + curve.A) / (2 * p.y)
     else:
         slope = (q.y - p.y) / (q.x - p.x)
     x3 = slope ** 2 - p.x - q.x
     y3 = slope * (p.x - x3) - p.y
     return ECPoint.affine(x3, y3)
+
+
+def _weight_den(x: RatFun, y: RatFun) -> Poly:
+    """Z with den x = Z^2 and den y = Z^3, for a point on a curve with
+    polynomial A and B: `on_curve`'s E^2 = D^3 makes den y / den x exact."""
+    return y.den // x.den
+
+
+def _lowest_weighted(x3: Poly, y3: Poly, z3: Poly) -> ECPoint:
+    """(X3 / Z3^2, Y3 / Z3^3) in lowest terms, for a sum on a curve with
+    polynomial A and B, by one gcd, or three small ones.
+
+    Let the sum be (N / Z^2, M / Z^3) in lowest terms.  Then Z^2 divides
+    N Z3^2 with N prime to Z, so Z3 = c Z, X3 = c^2 N and Y3 = c^3 M for a
+    polynomial c.  Take g = gcd(X3, Z3).  At each prime,
+    v(g) = min(2 v(c) + v(N), v(c) + v(Z)) >= v(c), since v(N) or v(Z) is
+    0, with equality unless the prime divides both c and Z; there v(N) = 0
+    and v(g^2) > 2 v(c) = v(X3).  So g^2 | X3 exactly when g = c up to a
+    constant, and then N = X3 / g^2, M = Y3 / g^3 and Z = Z3 / g are the
+    lowest terms: N is prime to Z, and so is M, because a prime dividing M
+    and Z would divide N^3 = M^2 - A N Z^4 - B Z^6.
+
+    Otherwise c is found from g.  By the same case split,
+    v(c) = min(v(X3) / 2, v(Z3)) at each prime, so gcd(X3, g^2) = c^2, and
+    it is gcd(X3 mod g^2, g^2), whose operands are below the degree of
+    g^2.  Then Y3 / c^2 = c M, and gcd(c M, g) = c: where v(Z) = 0,
+    v(g) = v(c), and elsewhere v(M) = 0.
+    """
+    g = poly_gcd(x3, z3)
+    if g.degree > 0:
+        gg = g * g
+        n, remainder = divmod(x3, gg)
+        if remainder:  # then g is not c: find c^2 and c
+            gg = poly_gcd(remainder, gg)
+            n, g = x3 // gg, poly_gcd(y3 // gg, g)
+        x3, y3, z3 = n, y3 // (gg * g), z3 // g
+    if not z3.is_monic:  # then Z3^2 and Z3^3 are monic as built
+        c = z3.field.one / z3.lc
+        x3, y3, z3 = x3.scale(c * c), y3.scale(c * c * c), z3.scale(c)
+    z3z3 = z3 * z3
+    return ECPoint.affine(RatFun._coprime(x3, z3z3),
+                          RatFun._coprime(y3, z3z3 * z3))
 
 
 def ec_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
@@ -202,8 +287,8 @@ def _integral_model(curve: Curve, point: ECPoint):
     """(u, E', P') with E': y^2 = x^3 + u^4 A x + u^6 B and P' = (u^2 x,
     u^3 y), for the least monic u making all four polynomials (Silverman,
     AEC, III.1), or (None, E, P) when they already are.  Each round takes
-    up to 4 and 6 off every pole order of A and B; then `on_curve`'s
-    E^2 = D^3 gives x = X / Z^2 and y = Y / Z^3, so Z = den y / den x."""
+    up to 4 and 6 off every pole order of A and B; then x = X / Z^2 and
+    y = Y / Z^3 with Z from `_weight_den`."""
     a, b, x, y = curve.A, curve.B, point.x, point.y
     if a.is_polynomial and b.is_polynomial and x.is_polynomial:
         return None, curve, point
@@ -211,7 +296,7 @@ def _integral_model(curve: Curve, point: ECPoint):
     while not (a.is_polynomial and b.is_polynomial):
         t = radical(a.den * b.den)
         a, b, x, y, u = a * t ** 4, b * t ** 6, x * t ** 2, y * t ** 3, u * t
-    z = y.den // x.den
+    z = _weight_den(x, y)
     return u * z, Curve(a * z ** 4, b * z ** 6), \
         ECPoint.affine(x * z ** 2, y * z ** 3)
 
@@ -348,8 +433,11 @@ def degree_growth_report(
     Each multiple is the sum of two earlier ones, nP = (n - n//2)P +
     (n//2)P, so the report takes n_max group-law steps, each on points of
     about a quarter of the result's degree; adding P to (n-1)P instead
-    works on points almost as large as the result and costs more.  The
-    point is checked once; its multiples, computed here, are not.
+    works on points almost as large as the result and costs more.  On a
+    curve with polynomial A and B each step is the weighted law of `_add`:
+    products, then one gcd, and two more on small operands only when its
+    certificate fails.  The point is checked once; its multiples,
+    computed here, are not.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

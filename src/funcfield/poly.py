@@ -191,8 +191,10 @@ class Poly:
         if not c:
             return _poly((), 1, field)
         if p:
-            return _poly([c.v * a % p for a in self._ints], 1, field)
-        return _q_poly([c.numerator * a for a in self._ints],
+            c = c.v
+            return _poly([c * a % p for a in self._ints], 1, field)
+        n = c.numerator
+        return _q_poly([n * a for a in self._ints],
                        self._den * c.denominator, field)
 
     def __pow__(self, n: int) -> "Poly":
@@ -420,29 +422,30 @@ _SCHOOLBOOK_TERMS = 144
 
 def _int_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
     """Product of two nonzero integer lists.  Short ones run `_mul`.  For
-    the others, v's support is read only when u is not dense, so dense
-    products pay one short scan: a single term c z^a is a shift and a
-    scale; when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the product
-    z^(a+b) (U V)(z^d) is spread from U V, itself routed by the same rule;
-    and otherwise `_kronecker_mul` runs.  A square (u is v) stays a
+    the others the supports are read, though past a dense u only to see
+    whether v is a single term, so dense products pay one short scan and
+    one index: a single term c z^a on either side is a shift and a scale;
+    when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the product
+    z^(a+b) (U V)(z^d) is spread from U V, itself routed by the same
+    rule; and otherwise `_kronecker_mul` runs.  A square (u is v) stays a
     square."""
     if (min(len(u), len(v)) <= _SCHOOLBOOK_SHORT
             or len(u) * len(v) <= _SCHOOLBOOK_TERMS):
         return _mul(u, v, 0)
     a, d = _stride(u)
-    if d != 1:
-        b, e = (a, d) if u is v else _stride(v)
-        if not d * e:
-            if d:
-                u, v, a = v, u, b
-            return [0] * a + [u[a] * c for c in v]
-        d = int_gcd(d, e)
-        if d > 1:
-            deflated = u[a::d]
-            out = [0] * (len(u) + len(v) - 1)
-            out[a + b::d] = _int_mul(deflated,
-                                     deflated if u is v else v[b::d])
-            return out
+    if d == 1 and (v[-2] or any(v[:-1])):
+        return _kronecker_mul(u, v)
+    b, e = (a, d) if u is v else _stride(v)
+    if not d * e:
+        if d:
+            u, v, a = v, u, b
+        return [0] * a + [u[a] * c for c in v]
+    d = int_gcd(d, e)
+    if d > 1:
+        deflated = u[a::d]
+        out = [0] * (len(u) + len(v) - 1)
+        out[a + b::d] = _int_mul(deflated, deflated if u is v else v[b::d])
+        return out
     return _kronecker_mul(u, v)
 
 

@@ -317,6 +317,15 @@ def test_json_stable_output_is_byte_deterministic():
     assert unstable.timing_ms is not None
 
 
+def test_timing_has_sub_millisecond_resolution():
+    # a command well under a millisecond still reports a positive time
+    report = dispatch(["deg", "--f", "z"])
+    assert isinstance(report.timing_ms, float) and report.timing_ms > 0
+    assert json.loads(report.to_json(stable=False))["timing_ms"] \
+        == report.timing_ms
+    assert "timing_ms" not in report.to_json(stable=True)
+
+
 def test_main_prints_and_returns_exit_code(capsys):
     assert main(["--json", "--stable", "ec-rank"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcfield import elliptic
+from funcfield import elliptic, ratfun
 from funcfield.divisors import Place
 from funcfield.elliptic import (Curve, ECPoint, FiberReport,
                                 NonMinimalModelError, NotRationalSurfaceError,
@@ -167,14 +167,15 @@ def _chord_tangent_steps(monkeypatch):
     return steps
 
 
-def _family_curve(rng):
+def _family_curve(rng, field=QQ):
     """A seeded member of the ec-heights family y^2 = x^3 + A x + B,
     A = alpha z + beta, through the constant point (c, d)."""
     alpha, beta = rng.choice((1, -1)), rng.randint(-1, 1)
     c, d = rng.choice((1, -1)), rng.choice((1, 2))
-    a = R(f"{alpha}*z + {beta}")
-    return Curve(a, R(f"{d * d - c ** 3}") - a * c), \
-        ECPoint.affine(R(str(c)), R(str(d)))
+    a = parse_ratfun(f"{alpha}*z + {beta}", field)
+    return Curve(a, parse_ratfun(f"{d * d - c ** 3}", field) - a * c), \
+        ECPoint.affine(parse_ratfun(str(c), field),
+                       parse_ratfun(str(d), field))
 
 
 # y^2 = x^3 - 3x + 2 - 2z^2 - z^3 through P = (1 + z, z): at z = 0 the
@@ -385,6 +386,137 @@ def test_canonical_height_torsion_report():
     assert on_curve(curve, two_torsion)
     with pytest.raises(TorsionPointError):
         canonical_height_estimate(curve, two_torsion, 2)
+
+
+# -- the weighted group law --------------------------------------------------
+
+
+def affine_sum(curve, p, q):
+    """P + Q by the affine law on `RatFun`s that `_add` keeps for curves
+    with rational A or B: the reference for the weighted law."""
+    if p.is_identity:
+        return q
+    if q.is_identity:
+        return p
+    if p.x == q.x and p.y == -q.y:
+        return ECPoint.identity()
+    return elliptic._affine_add(curve, p, q)
+
+
+def affine_multiples(curve, point, n):
+    """[O, P, 2P, ..., nP] by the affine law."""
+    multiples = [ECPoint.identity()]
+    for _ in range(n):
+        multiples.append(affine_sum(curve, multiples[-1], point))
+    return multiples
+
+
+@pytest.fixture
+def gcds(monkeypatch):
+    """Counts of the gcds taken in `elliptic` (the certificate of
+    `_lowest_weighted` and its two fallback gcds) and in `ratfun` (none,
+    on a polynomial curve)."""
+    counts = {"elliptic": 0, "ratfun": 0}
+    for module in (elliptic, ratfun):
+        def counting_gcd(a, b, gcd=module.poly_gcd,
+                         name=module.__name__.split(".")[-1]):
+            counts[name] += 1
+            return gcd(a, b)
+        monkeypatch.setattr(module, "poly_gcd", counting_gcd)
+    return counts
+
+
+def _weighted_sums(curve, multiples, pairs, gcds):
+    """Check `_add` against the affine law on multiples[m] + multiples[n]
+    for each (m, n), a negative index standing for the negated multiple,
+    and return how many sums took the fallback (three gcds, not one)."""
+    fallbacks = 0
+    for m, n in pairs:
+        p = multiples[m] if m >= 0 else -multiples[-m]
+        q = multiples[n] if n >= 0 else -multiples[-n]
+        expected = affine_sum(curve, p, q)
+        gcds.update(elliptic=0, ratfun=0)
+        total = elliptic._add(curve, p, q)
+        # RatFun equality is structural: a pair left unreduced differs
+        assert total == expected, (m, n)
+        trivial = p.is_identity or q.is_identity or expected.is_identity
+        assert gcds["elliptic"] in ((0,) if trivial else (1, 3)), (m, n)
+        assert not gcds["ratfun"]
+        fallbacks += gcds["elliptic"] == 3
+    return fallbacks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5),
+                                   PrimeField(101)], ids=str)
+def test_weighted_law_matches_the_affine_law(field, gcds):
+    rng = random.Random(2301 + field.characteristic)
+    fallbacks = 0
+    for curve, point in ((default_curve(field), generator_point(field)),
+                         _family_curve(rng, field)):
+        multiples = affine_multiples(curve, point, 6)
+        # every chord and tangent (m = n) among P..6P, then seeded
+        # differences and sums with a negated multiple
+        pairs = [(m, n) for m in range(1, 7) for n in range(m, 7)]
+        pairs += [(rng.randint(1, 6), -rng.randint(1, 6)) for _ in range(6)]
+        fallbacks += _weighted_sums(curve, multiples, pairs, gcds)
+    assert fallbacks  # e.g. 2P + 6P: c and Z share a factor
+
+
+def test_weighted_law_on_rational_points_inverses_and_2_torsion(gcds):
+    # 3P = ((8z^3 + 64)/z^4, (3z^6 + 96z^3 + 512)/z^6), Z = z^2, and its
+    # multiples up to 12P
+    multiples = affine_multiples(CURVE, affine_multiples(CURVE, P1, 3)[3], 4)
+    assert multiples[1] == ECPoint.affine(
+        R("(8*z^3 + 64)/z^4"), R("(3*z^6 + 96*z^3 + 512)/z^6"))
+    pairs = [(m, n) for m in range(1, 5) for n in range(m, 5)]
+    pairs += [(m, -m) for m in range(1, 5)] + [(1, 0), (0, -2), (0, 0)]
+    assert _weighted_sums(CURVE, multiples, pairs, gcds)
+    # doubling a point (r, 0) gives O, with a constant and a moving root
+    for curve, point in ((Curve(RatFun.zero(QQ), RatFun.one(QQ)),
+                          ECPoint.affine(R("-1"), R("0"))),
+                         (Curve(R("1"), R("-z^3 - z")),
+                          ECPoint.affine(R("z"), R("0")))):
+        assert on_curve(curve, point)
+        assert elliptic._add(curve, point, point).is_identity
+        assert elliptic._add(curve, point, -point).is_identity
+
+
+def test_weighted_law_through_a_node(gcds):
+    multiples = affine_multiples(NODE_CURVE, NODE_POINT, 6)
+    pairs = [(m, n) for m in range(1, 7) for n in range(m, 7)]
+    assert _weighted_sums(NODE_CURVE, multiples, pairs, gcds)
+
+
+def test_lowest_weighted_falls_back_when_c_and_z_share_a_factor(gcds):
+    # 3P = (N / Z^2, M / Z^3) in lowest terms, planted as (c^2 N, c^3 M,
+    # c Z): the certificate g^2 | X3 holds exactly when c is prime to Z
+    n, m = parse_poly("8*z^3 + 64"), parse_poly("3*z^6 + 96*z^3 + 512")
+    z = parse_poly("z^2")
+    p3 = ec_multiply(CURVE, 3, P1)
+    assert p3 == ECPoint.affine(RatFun(n, z * z), RatFun(m, z * z * z))
+    for text, fallback in (("1", False), ("-2/3", False), ("z + 1", False),
+                           ("z^2 - 5", False), ("z", True), ("3*z^2", True),
+                           ("z*(z + 1)", True), ("z^3*(z - 2)^2", True)):
+        c = parse_poly(text)
+        gcds.update(elliptic=0, ratfun=0)
+        assert elliptic._lowest_weighted(c * c * n, c * c * c * m, c * z) \
+            == p3, text
+        assert gcds == {"elliptic": 3 if fallback else 1, "ratfun": 0}, text
+
+
+def test_growth_report_takes_one_gcd_per_step(gcds):
+    p3 = ec_multiply(CURVE, 3, P1)
+    for base, n_max in ((P1, 10), (p3, 5)):
+        expected = [(n, q.x.map_degree(), Fraction(2 * q.x.map_degree(),
+                                                     n * n)) for n, q in
+                    enumerate(affine_multiples(CURVE, base, n_max)) if n]
+        gcds.update(elliptic=0, ratfun=0)
+        assert degree_growth_report(CURVE, base, n_max) == expected
+        # one certificate per step but the first (P + O), and two more
+        # for each fallback, which only the multiples of 3P take
+        extra = gcds["elliptic"] - (n_max - 1)
+        assert extra % 2 == 0 and bool(extra) == (base is p3)
+        assert not gcds["ratfun"]
 
 
 # -- degree growth -----------------------------------------------------------

@@ -581,6 +581,38 @@ def test_q_mixed_strides_and_single_terms(kronecker_calls,
         assert not kronecker_calls
 
 
+def test_dense_times_a_single_term_in_both_orders(kronecker_calls,
+                                                  rng=random.Random(4423)):
+    # a single term is a shift and a scale on the right of a dense
+    # operand too; dense times dense, or times a strided list, still packs
+    for field in (QQ, PrimeField(97)):
+        p = field.characteristic
+        for bits in (1, 700):
+            dense = random_ints(rng, 30, 6 if p else bits)
+            dense[0] = dense[1] = 1
+            if p:
+                dense = [x % p or 1 for x in dense]
+            c = 3 if p else rng.choice((-1, 1)) << rng.randint(0, bits)
+            for k in (0, 7, 40, 2 * 10 ** 4):
+                term = [0] * k + [c]
+                expected = stripped(x % p if p else x for x in
+                                    schoolbook_mul(dense, term, 0))
+                kronecker_calls.clear()
+                assert (Poly(dense, field) * Poly(term, field))._ints \
+                    == expected
+                assert (Poly(term, field) * Poly(dense, field))._ints \
+                    == expected
+                assert not kronecker_calls
+            other = random_ints(rng, 30, 6)
+            other[-2] = 0
+            for v in (dense, [0, 0, 1] * 10 + [1], other):
+                kronecker_calls.clear()
+                expected = stripped(x % p if p else x for x in
+                                    schoolbook_mul(dense, v, 0))
+                assert (Poly(dense, field) * Poly(v, field))._ints == expected
+                assert len(kronecker_calls) == 1
+
+
 def strided_gcd_pairs(rng):
     """z^a (G C1)(z^d) and z^b (G C2)(z^d) over Q, G of 1 to 4 terms."""
     for d in STRIDES:
