@@ -80,9 +80,14 @@ class Curve:
     B: RatFun
 
     def __post_init__(self):
+        # with A = a/alpha and B = b/beta, 4A^3 + 27B^2 = 0 exactly when
+        # 4 a^3 beta^2 + 27 b^2 alpha^3 = 0 (both sides times alpha^3 beta^2)
         same_field(self.A.field, self.B.field)
-        if self.field.characteristic == 2 \
-                or not (4 * self.A ** 3 + 27 * self.B ** 2):
+        a, alpha = self.A.num, self.A.den
+        b, beta = self.B.num, self.B.den
+        if self.field.characteristic == 2 or not (
+                (a ** 3 * beta ** 2).scale(4)
+                + (b ** 2 * alpha ** 3).scale(27)):
             raise ValueError("singular curve: -16(4A^3 + 27B^2) = 0")
 
     @property

@@ -9,26 +9,27 @@ are built only at the edge: `Poly(coeffs, field)` validates and converts
 its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
 build them on the way out.  The variable is always called z.
 
-A product takes one route over both fields, on the ints: the route
-follows the operand lengths, and over F_p each coefficient of the
-integer product is reduced mod p once.  Short or small products run the
-schoolbook loop over Z, and the others one big-int multiply (Kronecker
-substitution: both operands evaluated at a power of two by the shifts
-GCDHEU also uses, the product read back with an offset per slot; a
-square is evaluated once and squared).  Before that multiply, and before
-every gcd over Q, the supports are read: a single term c z^k is a shift
-and a scale, and when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the
-product is z^(a+b) (U V)(z^d) and the gcd z^min(a, b) gcd(U, V)(z^d), so
-both run on U and V and not on their zeros.  Over Q, division by a
-constant scales the numerators; other divisions are fraction-free
-pseudo-division d u = q v + r with one integer d.  Gcds over Q run the
-heuristic gcd (GCDHEU) on the primitive numerators with a primitive
-pseudo-remainder sequence as fallback; README states the cost model.
-Over F_p division and the Euclidean algorithm below run on the residues,
-and the slicer and zero sets in `definability` use those kernels and the
-schoolbook product.  Squarefree decomposition is the derivative-gcd cascade
-(Yun); in characteristic p a nonzero part with vanishing derivative
-aborts with an explicit inseparable-part report.
+Each arithmetic operation is one code path for both fields: it works on
+the ints and hands the result to `_normal`, the one constructor that
+knows the stored form of each field (over F_p it reduces mod p, over Q it
+cancels the content).  Products of every size run `_mul`, which
+`definability` also calls on residue lists: short or small products run
+the schoolbook loop over Z, and the others one big-int multiply
+(Kronecker substitution: both operands evaluated at a power of two by the
+shifts GCDHEU also uses, the product read back with an offset per slot; a
+square is evaluated once and squared); with p nonzero each coefficient is
+then reduced mod p once.  Before that multiply, and before every gcd, the
+supports are read: a single term c z^k is a shift and a scale, and when
+u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the product is
+z^(a+b) (U V)(z^d) and the gcd z^min(a, b) gcd(U, V)(z^d), so both run on
+U and V and not on their zeros.  Over Q, division by a constant scales the
+numerators; other divisions are fraction-free pseudo-division
+d u = q v + r with one integer d.  Gcds over Q run the heuristic gcd
+(GCDHEU) on the primitive numerators with a primitive pseudo-remainder
+sequence as fallback; README states the cost model.  Over F_p division
+and the Euclidean algorithm run on the residues.  Squarefree decomposition
+is the derivative-gcd cascade (Yun); in characteristic p a nonzero part
+with vanishing derivative aborts with an explicit inseparable-part report.
 """
 
 from __future__ import annotations
@@ -149,53 +150,35 @@ class Poly:
         same_field(self.field, other.field)
 
     def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the denominators."""
         if not isinstance(other, Poly):
             return NotImplemented
         same_field(self.field, other.field)
-        a, b, field = self._ints, other._ints, self.field
-        p = field.characteristic
-        if p:
-            return _poly(_add(a, b, p), 1, field)
         d = int_lcm(self._den, other._den)
-        sa, sb = d // self._den, d // other._den
-        return _q_poly(_trim([x * sa + y * sb for x, y in
-                              zip_longest(a, b, fillvalue=0)]), d, field)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        sa, sb = d // self._den, sign * d // other._den
+        return _normal([x * sa + y * sb for x, y in zip_longest(
+            self._ints, other._ints, fillvalue=0)], d, self.field)
 
     def __neg__(self) -> "Poly":
-        p = self.field.characteristic
-        if p:
-            return _poly([-c % p for c in self._ints], 1, self.field)
-        return _poly([-c for c in self._ints], self._den, self.field)
+        return _normal([-c for c in self._ints], self._den, self.field)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         same_field(self.field, other.field)
-        a, b, field = self._ints, other._ints, self.field
-        if not a or not b:
-            return _poly((), 1, field)
-        p = field.characteristic
-        if p:
-            # p is prime, so the leading residue lc(a) lc(b) is nonzero
-            return _poly([c % p for c in _int_mul(a, b)], 1, field)
-        return _q_poly(_int_mul(a, b), self._den * other._den, field)
+        return _normal(_mul(self._ints, other._ints),
+                       self._den * other._den, self.field)
 
     def scale(self, c) -> "Poly":
-        field, p = self.field, self.field.characteristic
-        c = field.coerce(c)
-        if not c:
-            return _poly((), 1, field)
-        if p:
-            c = c.v
-            return _poly([c * a % p for a in self._ints], 1, field)
-        n = c.numerator
-        return _q_poly([n * a for a in self._ints],
-                       self._den * c.denominator, field)
+        n, d = _ratio(self.field.coerce(c))
+        return _normal([n * a for a in self._ints], self._den * d,
+                       self.field)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -225,7 +208,7 @@ class Poly:
             return _poly(quot, 1, field), _poly(rem, 1, field)
         if len(b) == 1:
             # a / (b0 / db) = a db / (da b0), with no remainder
-            return (_q_poly([c * other._den for c in a], self._den * b[0],
+            return (_normal([c * other._den for c in a], self._den * b[0],
                             field), _poly((), 1, field))
         w = _int_primitive(list(b))
         content = b[-1] // w[-1]
@@ -233,8 +216,8 @@ class Poly:
         # With a = u / da, b = content w / db and d u = quot w + rem:
         # a = quot db / (d da content) b + rem / (d da).
         d *= self._den
-        return (_q_poly([c * other._den for c in quot], d * content, field),
-                _q_poly(_trim(rem), d, field))
+        return (_normal([c * other._den for c in quot], d * content, field),
+                _normal(rem, d, field))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -257,11 +240,8 @@ class Poly:
         return Fraction(acc, self._den * power)
 
     def derivative(self) -> "Poly":
-        ints = [i * c for i, c in enumerate(self._ints)][1:]
-        p = self.field.characteristic
-        if p:
-            return _poly(_trim([c % p for c in ints]), 1, self.field)
-        return _q_poly(ints, self._den, self.field)
+        return _normal([i * c for i, c in enumerate(self._ints)][1:],
+                       self._den, self.field)
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
@@ -305,12 +285,28 @@ def _poly(ints: Sequence[int], den: int, field: Field) -> Poly:
     return obj
 
 
-def _q_poly(ints: List[int], den: int, field: Field) -> Poly:
-    """sum(ints_i z^i) / den over Q in canonical form; ints without
-    trailing zeros, den nonzero."""
-    if den < 0:
-        ints, den = [-c for c in ints], -den
+def _ratio(c) -> Tuple[int, int]:
+    """(n, d) with c = n / d for a field element: a Fraction's own pair, an
+    FpElement's residue over 1."""
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    return c.v, 1
+
+
+def _normal(ints: List[int], den: int, field: Field) -> Poly:
+    """sum(ints_i z^i) / den in the stored form of `field`, for any ints
+    and a nonzero den.  Over F_p den is 1 and the ints are reduced mod p;
+    over Q the sign moves to the ints and the content is cancelled.  Both
+    trim trailing zeros, over Q in place, so ints must be a list that no
+    one else holds."""
+    p = field.characteristic
+    if p:
+        ints = [c % p for c in ints]
+    while ints and not ints[-1]:
+        ints.pop()
     if den != 1:
+        if den < 0:
+            ints, den = [-c for c in ints], -den
         g = int_gcd(den, *ints)
         if g != 1:
             ints, den = [c // g for c in ints], den // g
@@ -318,7 +314,14 @@ def _q_poly(ints: List[int], den: int, field: Field) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    """Monic greatest common divisor; gcd(0, 0) = 0.
+
+    When a = z^s U(z^d) and b = z^t V(z^d) with d > 1, the gcd is
+    z^min(s, t) gcd(U, V)(z^d) over any field: z -> z^d is an injective
+    ring map that commutes with division with remainder, and z divides
+    neither U(z^d) nor V(z^d).  The gcd of U and V is the Euclidean one
+    over F_p, and over Q the primitive one over Z, made monic by its
+    leading coefficient as denominator."""
     a._same(b)
     if a.is_zero and b.is_zero:
         return a
@@ -326,20 +329,30 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    field = a.field
     if a.degree == 0 or b.degree == 0:
-        return _poly((1,), 1, a.field)
-    p = a.field.characteristic
-    if p:
-        return _poly(_gcd(a._ints, b._ints, p), 1, a.field)
-    return _rational_gcd(a._ints, b._ints, a.field)
+        return _poly((1,), 1, field)
+    u, v, p = a._ints, b._ints, field.characteristic
+    s, d = _stride(u)
+    t, e = _stride(v)
+    d = int_gcd(d, e)
+    if d > 1:
+        u, v = u[s::d], v[t::d]
+    g = _gcd(u, v, p) if p else _primitive_gcd(u, v)
+    if d > 1:
+        m = min(s, t)
+        h = [0] * (m + d * (len(g) - 1) + 1)
+        h[m::d] = g
+        g = h
+    return _poly(g, g[-1], field)
 
 
 # -- F_p[z] on int lists ---------------------------------------------------
 #
 # Coefficient lists of ints in [0, p), low degree first, with no trailing
-# zeros ([] is the zero polynomial).  They are the F_p sums, divisions and
-# gcds of Poly (its products run `_int_mul`), and the slicer and zero sets
-# in `definability` run on them directly, products included.
+# zeros ([] is the zero polynomial).  They are the F_p divisions and gcds of
+# Poly, and the slicer and zero sets in `definability` run on them directly,
+# with the products of `_mul` below.
 
 
 def _trim(cs: List[int]) -> List[int]:
@@ -355,20 +368,6 @@ def _add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
     return _trim(out)
-
-
-def _mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """Schoolbook product over F_p, or over Z with no reduction for p = 0.
-    p is prime or 0, so the product of the leading coefficients is
-    nonzero."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b, i):
-                out[j] += c * d
-    return [c % p for c in out] if p else out
 
 
 def _divmod(a: Sequence[int], b: Sequence[int], p: int,
@@ -413,40 +412,52 @@ def _powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
 # -- integer kernels: products over both fields, the rest over Q ----------
 
 # Products with a factor of at most _SCHOOLBOOK_SHORT terms, or with
-# at most _SCHOOLBOOK_TERMS coefficient products, run the schoolbook `_mul`
+# at most _SCHOOLBOOK_TERMS coefficient products, run the schoolbook loop
 # over Z; larger ones run `_kronecker_mul`.  The crossover comes from timing
 # both on dense operands of 4 to 1024 bits (the table is in CHANGES.md).
 _SCHOOLBOOK_SHORT = 5
 _SCHOOLBOOK_TERMS = 144
 
 
-def _int_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
-    """Product of two nonzero integer lists.  Short ones run `_mul`.  For
-    the others the supports are read, though past a dense u only to see
-    whether v is a single term, so dense products pay one short scan and
-    one index: a single term c z^a on either side is a shift and a scale;
-    when u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the product
-    z^(a+b) (U V)(z^d) is spread from U V, itself routed by the same
-    rule; and otherwise `_kronecker_mul` runs.  A square (u is v) stays a
-    square."""
-    if (min(len(u), len(v)) <= _SCHOOLBOOK_SHORT
-            or len(u) * len(v) <= _SCHOOLBOOK_TERMS):
-        return _mul(u, v, 0)
+def _mul(u: Sequence[int], v: Sequence[int], p: int = 0) -> List[int]:
+    """Product of two integer lists over Z, each coefficient then reduced
+    mod p when p is nonzero; p is 0 or a prime that does not divide the
+    leading coefficients, so the product has no trailing zeros.
+
+    Short products run the schoolbook loop.  For the others the supports
+    are read, though past a dense u only to see whether v is a single term,
+    so dense products pay one short scan and one index: a single term
+    c z^a on either side is a shift and a scale; when u = z^a U(z^d) and
+    v = z^b V(z^d) with d > 1, the product z^(a+b) (U V)(z^d) is spread
+    from U V, itself routed by the same rule; and otherwise
+    `_kronecker_mul` runs.  A square (u is v) stays a square."""
+    lu, lv = len(u), len(v)
+    if not (lu and lv):
+        return []
+    if lu * lv <= _SCHOOLBOOK_TERMS or min(lu, lv) <= _SCHOOLBOOK_SHORT:
+        out = [0] * (lu + lv - 1)
+        for i, c in enumerate(u):
+            if c:
+                for j, d in enumerate(v, i):
+                    out[j] += c * d
+        return [c % p for c in out] if p else out
     a, d = _stride(u)
     if d == 1 and (v[-2] or any(v[:-1])):
-        return _kronecker_mul(u, v)
-    b, e = (a, d) if u is v else _stride(v)
-    if not d * e:
-        if d:
-            u, v, a = v, u, b
-        return [0] * a + [u[a] * c for c in v]
-    d = int_gcd(d, e)
-    if d > 1:
-        deflated = u[a::d]
-        out = [0] * (len(u) + len(v) - 1)
-        out[a + b::d] = _int_mul(deflated, deflated if u is v else v[b::d])
-        return out
-    return _kronecker_mul(u, v)
+        out = _kronecker_mul(u, v)
+    else:
+        b, e = (a, d) if u is v else _stride(v)
+        if not d * e:
+            if d:
+                u, v, a = v, u, b
+            out = [0] * a + [u[a] * c for c in v]
+        elif (g := int_gcd(d, e)) > 1:
+            deflated = u[a::g]
+            out = [0] * (lu + lv - 1)
+            out[a + b::g] = _mul(deflated, deflated if u is v else v[b::g], p)
+            return out
+        else:
+            out = _kronecker_mul(u, v)
+    return [c % p for c in out] if p else out
 
 
 def _stride(cs: Sequence[int]) -> Tuple[int, int]:
@@ -562,27 +573,6 @@ def _int_primitive(cs: List[int]) -> List[int]:
     if cs[-1] < 0:
         g = -g
     return cs if g == 1 else [c // g for c in cs]
-
-
-def _rational_gcd(u: Sequence[int], v: Sequence[int], field: Field) -> Poly:
-    """Monic gcd of nonconstant polynomials over Q with numerators u and v,
-    from the gcd over Z of their primitive parts.
-
-    When u = z^a U(z^d) and v = z^b V(z^d) with d > 1, the gcd is
-    z^min(a, b) gcd(U, V)(z^d): z -> z^d is an injective ring map that
-    commutes with division with remainder, and z divides neither U(z^d)
-    nor V(z^d)."""
-    a, d = _stride(u)
-    b, e = _stride(v)
-    d = int_gcd(d, e)
-    if d > 1:
-        g = _primitive_gcd(u[a::d], v[b::d])
-        m = min(a, b)
-        h = [0] * (m + d * (len(g) - 1) + 1)
-        h[m::d] = g
-    else:
-        h = _primitive_gcd(u, v)
-    return _poly(h, h[-1], field)
 
 
 def _primitive_gcd(u: Sequence[int], v: Sequence[int]) -> List[int]:

@@ -74,6 +74,17 @@ def test_frobenius_command():
     report = dispatch(["frobenius", "--f", "z^2", "--p", "2"])
     assert report.outputs["components"] == ["z", "0"]
     assert report.outputs["in_d"] is False
+    report = dispatch(["frobenius", "--f", "z", "--p", "1009"])
+    assert report.exit_code == 0
+    assert report.outputs["components"] == ["0", "1"] + ["0"] * 1007
+
+
+def test_frobenius_refuses_a_large_p_at_once():
+    start = time.perf_counter()
+    report = dispatch(["frobenius", "--f", "z", "--p", "1000000000039"])
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 1
+    assert report.outputs["required"] == 1000000000039 + 1
 
 
 def test_ec_commands():

@@ -640,6 +640,18 @@ def test_frobenius_roundtrip_random(rng=random.Random(24601)):
             assert frobenius_decompose(z * power).in_d
 
 
+def test_frobenius_refuses_above_the_budget_before_any_work():
+    p = 100003
+    f = R("z^3/(z^2 + 1)", PrimeField(p))
+    with pytest.raises(BudgetError) as info:
+        frobenius_decompose(f)
+    # p components, (p - 1) deg den + deg num coefficients beyond the first
+    assert info.value.required == p + (p - 1) * 2 + 3
+    assert info.value.budget == definability.FROBENIUS_BUDGET
+    assert frobenius_decompose(RatFun.zero(PrimeField(1009))).components \
+        == (RatFun.zero(PrimeField(1009)),) * 1009
+
+
 def test_frobenius_char_zero_rejected():
     with pytest.raises(ValueError):
         frobenius_decompose(R("z"))

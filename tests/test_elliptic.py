@@ -1,5 +1,6 @@
 """Group law, heights, fibers and rank of the reference elliptic surface."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,6 +49,20 @@ def test_singular_curve_rejected():
     assert default_curve(f3).A == RatFun.gen(f3)
     with pytest.raises(ValueError):
         Curve(RatFun.zero(f3), RatFun.one(f3))
+    assert Curve(parse_ratfun("z^2 + 1/z", f3),
+                 parse_ratfun("z/(z + 1)", f3)).field == f3
+    # 4(-3)^3 + 27(2)^2 = 0, scaled by z^-6 and by z^6
+    for a, b in (("-3/z^2", "2/z^3"), ("-3*z^2", "2*z^3"),
+                 ("-3/(z+1)^2", "2/(z+1)^3")):
+        with pytest.raises(ValueError):
+            Curve(R(a), R(b))
+    # the ec-heights family: A = alpha z + beta, B = d^2 - c^3 - c A
+    for alpha, beta, c, d in itertools.product((1, -1), (-1, 0, 1),
+                                               (1, -1), (1, 2)):
+        a = R(f"{alpha}*z + {beta}")
+        curve = Curve(a, R(f"{d * d - c ** 3}") - a * c)
+        assert curve.A == a
+    assert Curve(R("1/z"), R("1")).B == RatFun.one(QQ)
 
 
 def test_on_curve():

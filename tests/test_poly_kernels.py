@@ -204,9 +204,9 @@ def pseudo_division_route(a, b):
     w = poly._int_primitive(list(b._ints))
     quot, rem, d = poly._pseudo_divmod(list(a._ints), w)
     d *= a._den
-    return (poly._q_poly([c * b._den for c in quot],
+    return (poly._normal([c * b._den for c in quot],
                          d * (b._ints[-1] // w[-1]), QQ),
-            poly._q_poly(poly._trim(rem), d, QQ))
+            poly._normal(poly._trim(rem), d, QQ))
 
 
 def test_q_division_by_a_constant_matches_pseudo_division(
@@ -651,6 +651,48 @@ def test_q_strided_gcds_match_sympy(rng=random.Random(4417)):
                                            for c in reversed(ref)])
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_fp_strided_gcds_match_plain_euclid(p, monkeypatch,
+                                            rng=random.Random(4424)):
+    """gcd(z^a (G C1)(z^d), z^b (G C2)(z^d)) over F_p, with strides d prime
+    to p and multiples of p, against `_gcd` run on the inflated lists; the
+    gcd itself runs on the deflated ones."""
+    field = PrimeField(p)
+    sizes = []
+    euclid = poly._gcd
+
+    def recording(u, v, p):
+        sizes.append(len(u) + len(v))
+        return euclid(u, v, p)
+
+    monkeypatch.setattr(poly, "_gcd", recording)
+
+    def factor(length):
+        # nonzero at 0 and at the top, so the offsets stay a and b
+        return ([rng.randrange(1, p)] + [rng.randrange(p) for _ in
+                                         range(length - 2)]
+                + [rng.randrange(1, p)])[:length]
+
+    for d in sorted({2, 3, p, 2 * p, p + 1}):
+        for a in OFFSETS:
+            for b in OFFSETS:
+                g = factor(rng.randint(1, 4))
+                u = inflated(poly._mul(g, factor(rng.randint(2, 12)), p),
+                             a, d)
+                v = inflated(poly._mul(g, factor(rng.randint(2, 12)), p),
+                             b, d)
+                pu, pv = Poly(u, field), Poly(v, field)
+                sizes.clear()
+                got = poly_gcd(pu, pv)
+                e = common_stride(u, v)  # a multiple of d; over F_2 often 2d
+                assert e % d == 0 and sizes == [
+                    (len(u) - a - 1) // e + (len(v) - b - 1) // e + 2]
+                assert got._ints == tuple(euclid(u, v, p))
+                assert got == poly_gcd(pv, pu) == dense_gcd(pu, pv,
+                                                              monkeypatch)
+                assert (pu % got).is_zero and (pv % got).is_zero
+
+
 # -- F_p[z] against FpElement loops -----------------------------------------
 
 FP_FIELDS = [PrimeField(p) for p in (2, 3, 5, 97, 10 ** 9 + 7)]
@@ -726,7 +768,9 @@ def test_fp_pow_derivative_and_evaluation_match_fpelement_loops(
 @pytest.mark.parametrize("p", (2, 3, 97, 2 ** 61 - 1))
 def test_fp_products_match_fpelement_loops_on_every_route(
         p, kronecker_calls, rng=random.Random(4420)):
-    """Over F_p a product runs the integer route of Q, then reduces."""
+    """Over F_p a product runs the integer route of Q, then reduces, both
+    in Poly and on the residue lists of `definability` (`_monomials` and
+    `_powmod`, whose operands range from a few terms to deg m)."""
     field = PrimeField(p)
     lengths = (1, 2, 5, 6, 13, 30, 120)
     for la in lengths:
@@ -734,11 +778,15 @@ def test_fp_products_match_fpelement_loops_on_every_route(
             a = random_fp(rng, field, la - 1)
             b = random_fp(rng, field, lb - 1)
             pa, pb = Poly(a, field), Poly(b, field)
-            assert (pa * pb).coeffs == (pb * pa).coeffs \
-                == stripped(schoolbook_mul(a, b, field.zero))
+            expected = stripped(schoolbook_mul(a, b, field.zero))
+            assert (pa * pb).coeffs == (pb * pa).coeffs == expected
+            u, v = [c.v for c in a], [c.v for c in b]
+            assert poly._mul(u, v, p) == poly._mul(v, u, p) \
+                == [c.v for c in expected]
         square = Poly(a, field) * Poly(a, field)
         assert (Poly(a, field) ** 2) == square
         assert square.coeffs == stripped(schoolbook_mul(a, a, field.zero))
+        assert poly._mul(u, u, p) == [c.v for c in square.coeffs]
     assert kronecker_calls
     # a single term past the length rule on the left: a shift, not packed
     kronecker_calls.clear()
@@ -759,6 +807,34 @@ def test_fp_coefficients_are_canonical_residues():
     assert f == Poly([4, 2, 3], F5) and hash(f) == hash(Poly([4, 2, 3], F5))
     with pytest.raises(FieldMismatchError):
         Poly([FpElement(1, 3)], F5)
+
+
+def test_normal_form_edges():
+    # sums that cancel, in whole or at the top
+    for field, a, b in ((F5, [1, 2], [4, 3]),
+                        (QQ, [Fraction(1, 3), Fraction(1, 2)],
+                         [Fraction(-1, 3), Fraction(-1, 2)])):
+        pa, pb = Poly(a, field), Poly(b, field)
+        for total in (pa + pb, pa - (-pb), pb - pa.scale(-1)):
+            assert total.is_zero and total._ints == () and total._den == 1
+    top = Poly([1, 2, 3], F5) + Poly([0, 0, 2], F5)
+    assert top._ints == (1, 2) and top._den == 1
+    # a negative denominator moves its sign to the numerators
+    assert poly._normal([2, -4], -6, QQ) == Poly([Fraction(-1, 3),
+                                                  Fraction(2, 3)], QQ)
+    half = Poly([1, Fraction(1, 2)], QQ)
+    for f in (poly._normal([3, -6], -9, QQ), half.scale(Fraction(-2, 3)),
+              half // Poly([Fraction(-3, 2)], QQ), -half):
+        assert_canonical(f)
+    assert (half // Poly([-3], QQ)) == Poly([Fraction(-1, 3),
+                                             Fraction(-1, 6)], QQ)
+    # over F_p the derivative of z^p vanishes, and of z^(p+1) it is z^p
+    for field in (PrimeField(2), PrimeField(3), F5):
+        p = field.p
+        z = Poly.gen(field)
+        assert (z ** p).derivative() == Poly.zero(field)
+        assert (z ** (p + 1)).derivative() == z ** p
+        assert (z ** p).derivative()._den == 1
 
 
 # -- Q canonical form -------------------------------------------------------
