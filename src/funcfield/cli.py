@@ -429,11 +429,14 @@ def _run_command(args) -> Report:
 
 def dispatch(argv) -> Report:
     """Run one CLI invocation and return its report (never prints)."""
-    return _dispatch(build_parser().parse_args(argv))
-
-
-def _dispatch(args) -> Report:
     start = time.perf_counter()
+    return _dispatch(build_parser().parse_args(argv), start)
+
+
+def _dispatch(args, start: float) -> Report:
+    """Run the parsed request; `timing_ms` counts from `start`, taken
+    before argv was parsed, to the finished report (rendering, which
+    prints the figure, stays outside)."""
     try:
         report = _run_command(args)
     except BudgetError as error:
@@ -454,8 +457,9 @@ def _dispatch(args) -> Report:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)  # SystemExit(2) on usage errors
-    report = _dispatch(args)
+    report = _dispatch(args, start)
     text = (report.to_json(args.stable) if args.json
             else report.to_text(args.stable))
     stream = sys.stderr if report.exit_code == 2 else sys.stdout

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .budget import BudgetError
 from .fields import FpElement, PrimeField, same_field
-from .poly import (Poly, _add, _divmod, _gcd, _mul, _powmod, _trim,
-                   poly_gcd)
+from .poly import (Poly, _add, _divmod, _gcd, _mul, _normal, _over_lc,
+                   _powmod, _trim, poly_gcd)
 from .ratfun import RatFun
 from .textio import parse_poly
 
@@ -396,7 +396,7 @@ def _bezout(a: Poly, b: Poly, c: Poly) -> Tuple[Poly, Poly]:
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, s0, r1, s1 = r1, s1, r, s0 - q * s1
-    s = (s0 * c).scale(1 / r0.lc) % b
+    s = _over_lc(s0 * c, r0) % b
     return s, (c - s * a) // b
 
 
@@ -508,7 +508,8 @@ def frobenius_decompose(f: RatFun) -> FrobeniusDecomposition:
         zero = RatFun.zero(field)
         return FrobeniusDecomposition((zero,) * p, False)
     den = f.den
-    cleared = (f.num * den ** (p - 1)).coeffs
-    components = [RatFun(Poly(cleared[j::p], field), den) for j in range(p)]
+    cleared = (f.num * den ** (p - 1))._ints
+    components = [RatFun(_normal(list(cleared[j::p]), 1, field), den)
+                  for j in range(p)]
     in_d = any(not comp.is_zero for comp in components[1:])
     return FrobeniusDecomposition(tuple(components), in_d)

@@ -45,6 +45,7 @@ rank 1 with minimal height 1/2 (the lattice A1-dual).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf
@@ -52,7 +53,8 @@ from typing import List, Optional, Tuple
 
 from .divisors import Place
 from .fields import Field, QQ, same_field
-from .poly import Poly, poly_gcd, radical, squarefree_decomposition
+from .poly import (Poly, _over_lc, poly_gcd, radical,
+                   squarefree_decomposition)
 from .ratfun import RatFun
 
 
@@ -107,6 +109,10 @@ def default_curve(field: Field = QQ) -> Curve:
 class ECPoint:
     x: Optional[RatFun]
     y: Optional[RatFun]
+    # Z of `_weight_den`, kept once derived; not part of the value, so
+    # equality, hashing and dataclasses.replace ignore it
+    _z: Optional[Poly] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def identity() -> "ECPoint":
@@ -191,7 +197,7 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
         return ECPoint.identity()
     if not (curve.A.is_polynomial and curve.B.is_polynomial):
         return _affine_add(curve, p, q)
-    x1, y1, z1 = p.x.num, p.y.num, _weight_den(p.x, p.y)
+    x1, y1, z1 = p.x.num, p.y.num, _weight_den(p)
     if p.x == q.x:  # then y(P) = y(Q) != 0
         l = (x1 * x1).scale(3) + curve.A.num * (z1 * z1) ** 2
         y1y1 = y1 * y1
@@ -199,7 +205,7 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
         x3 = l * l - s.scale(2)
         return _lowest_weighted(x3, l * (s - x3) - (y1y1 * y1y1).scale(8),
                                 (y1 * z1).scale(2))
-    x2, y2, z2 = q.x.num, q.y.num, _weight_den(q.x, q.y)
+    x2, y2, z2 = q.x.num, q.y.num, _weight_den(q)
     z1z1, z2z2 = z1 * z1, z2 * z2
     u1, s1 = x1 * z2z2, y1 * z2z2 * z2
     h = x2 * z1z1 - u1
@@ -221,10 +227,15 @@ def _affine_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
     return ECPoint.affine(x3, y3)
 
 
-def _weight_den(x: RatFun, y: RatFun) -> Poly:
-    """Z with den x = Z^2 and den y = Z^3, for a point on a curve with
-    polynomial A and B: `on_curve`'s E^2 = D^3 makes den y / den x exact."""
-    return y.den // x.den
+def _weight_den(point: ECPoint) -> Poly:
+    """Z with den x = Z^2 and den y = Z^3, for an affine point on a curve
+    with polynomial A and B: `on_curve`'s E^2 = D^3 makes den y / den x
+    exact.  The division runs once per point; Z is kept on it."""
+    z = point._z
+    if z is None:
+        z = point.y.den // point.x.den
+        object.__setattr__(point, "_z", z)
+    return z
 
 
 def _lowest_weighted(x3: Poly, y3: Poly, z3: Poly) -> ECPoint:
@@ -255,12 +266,13 @@ def _lowest_weighted(x3: Poly, y3: Poly, z3: Poly) -> ECPoint:
             gg = poly_gcd(remainder, gg)
             n, g = x3 // gg, poly_gcd(y3 // gg, g)
         x3, y3, z3 = n, y3 // (gg * g), z3 // g
-    if not z3.is_monic:  # then Z3^2 and Z3^3 are monic as built
-        c = z3.field.one / z3.lc
-        x3, y3, z3 = x3.scale(c * c), y3.scale(c * c * c), z3.scale(c)
+    # Z3 made monic, so that Z3^2 and Z3^3 are monic as built
+    x3, y3, z3 = _over_lc(x3, z3, 2), _over_lc(y3, z3, 3), _over_lc(z3, z3)
     z3z3 = z3 * z3
-    return ECPoint.affine(RatFun._coprime(x3, z3z3),
-                          RatFun._coprime(y3, z3z3 * z3))
+    point = ECPoint.affine(RatFun._coprime(x3, z3z3),
+                           RatFun._coprime(y3, z3z3 * z3))
+    object.__setattr__(point, "_z", z3)  # what `_weight_den` would derive
+    return point
 
 
 def ec_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
@@ -301,7 +313,7 @@ def _integral_model(curve: Curve, point: ECPoint):
     while not (a.is_polynomial and b.is_polynomial):
         t = radical(a.den * b.den)
         a, b, x, y, u = a * t ** 4, b * t ** 6, x * t ** 2, y * t ** 3, u * t
-    z = _weight_den(x, y)
+    z = _weight_den(ECPoint.affine(x, y))
     return u * z, Curve(a * z ** 4, b * z ** 6), \
         ECPoint.affine(x * z ** 2, y * z ** 3)
 

@@ -276,6 +276,6 @@ QQ = RationalField()
 
 
 def same_field(a: Field, b: Field) -> Field:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatchError(f"mixed field tags: {a!r} vs {b!r}")
     return a

@@ -6,8 +6,12 @@ gcd(d, c_0, c_1, ...) = 1, so every value has one stored form (zero is
 the empty tuple over 1) and equality and hashing compare ints.  Over F_p
 the ints are residues in [0, p) over 1.  `Fraction` and `FpElement` values
 are built only at the edge: `Poly(coeffs, field)` validates and converts
-its input once, and `coeffs`, `lc`, `coefficient`, evaluation and printing
-build them on the way out.  The variable is always called z.
+its input once, and `coeffs`, `lc`, `coefficient` and evaluation build
+them on the way out.  Nothing in between builds any: `zero`, `one`, `gen`
+and `constant` of an int store their tuples directly, `monic` and the
+other divisions by a leading coefficient (`_over_lc`) run on the
+numerators, and printing reduces each c/d with one int gcd.  The variable
+is always called z.
 
 Each arithmetic operation is one code path for both fields: it works on
 the ints and hands the result to `_normal`, the one constructor that
@@ -82,20 +86,24 @@ class Poly:
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls((), field)
+        return _poly((), 1, field)
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls((1,), field)
+        return _poly((1,), 1, field)
 
     @classmethod
     def constant(cls, c, field: Field) -> "Poly":
+        """The constant c: an int is stored as it stands (reduced mod p),
+        any other value is validated by the constructor."""
+        if type(c) is int:
+            return _normal([c], 1, field)
         return cls((c,), field)
 
     @classmethod
     def gen(cls, field: Field) -> "Poly":
         """The polynomial z."""
-        return cls((0, 1), field)
+        return _poly((0, 1), 1, field)
 
     # -- basic queries ------------------------------------------------
 
@@ -137,7 +145,8 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self._ints == other._ints
-                and self._den == other._den and self.field == other.field)
+                and self._den == other._den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self._ints, self._den, self.field))
@@ -185,6 +194,10 @@ class Poly:
             raise ValueError("negative polynomial power")
         if n == 0:
             return _poly((1,), 1, self.field)
+        if len(self._ints) <= 1:  # a constant: one power of its ints
+            p = self.field.characteristic
+            return _normal([pow(c, n, p) if p else c ** n
+                            for c in self._ints], self._den ** n, self.field)
         result = None
         base = self
         while True:
@@ -244,28 +257,34 @@ class Poly:
                        self._den, self.field)
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(1 / self.lc)
+        return _over_lc(self, self) if self._ints else self
 
     # -- printing -----------------------------------------------------
 
     def __str__(self):
-        if self.is_zero:
+        """Terms from the top down, each c/d cancelled by one int gcd (over
+        F_p d is 1 and the residues are never negative)."""
+        ints, den = self._ints, self._den
+        if not ints:
             return "0"
-        cs = self.coeffs
         parts: List[str] = []
-        for d in range(self.degree, -1, -1):
-            c = cs[d]
-            if not c:
+        for d in range(len(ints) - 1, -1, -1):
+            n = ints[d]
+            if not n:
                 continue
-            negative = isinstance(c, Fraction) and c < 0
-            mag = -c if negative else c
+            negative = n < 0
+            if negative:
+                n = -n
+            m = den
+            if m != 1:
+                g = int_gcd(n, m)
+                n, m = n // g, m // g
+            mag = str(n) if m == 1 else f"{n}/{m}"
             if d == 0:
-                body = str(mag)
+                body = mag
             else:
                 zpow = "z" if d == 1 else f"z^{d}"
-                body = zpow if mag == 1 else f"{mag}*{zpow}"
+                body = zpow if mag == "1" else f"{mag}*{zpow}"
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:
@@ -283,6 +302,24 @@ def _poly(ints: Sequence[int], den: int, field: Field) -> Poly:
     obj._den = den
     obj.field = field
     return obj
+
+
+def _over_lc(f: Poly, g: Poly, k: int = 1) -> Poly:
+    """f / lc(g)^k for a nonzero g, on the ints.  Over F_p the residues are
+    multiplied by lc^-k mod p.  Over Q, with f = F / d and lc(g) = c / e,
+    it is F e^k / (d c^k), and the monic form of f (g is f, k = 1) is F
+    over c alone; either is one `_normal` call."""
+    c, field = g._ints[-1], f.field
+    if c == g._den:
+        return f
+    p = field.characteristic
+    if p:
+        inv = pow(c, -k, p)
+        return _poly([a * inv % p for a in f._ints], 1, field)
+    if f is g and k == 1:
+        return _normal(list(f._ints), c, field)
+    e = g._den ** k
+    return _normal([a * e for a in f._ints], f._den * c ** k, field)
 
 
 def _ratio(c) -> Tuple[int, int]:

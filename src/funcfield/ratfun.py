@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .fields import Field, QQ, same_field
-from .poly import Poly, poly_gcd, squarefree_decomposition
+from .poly import Poly, _over_lc, poly_gcd, squarefree_decomposition
 
 
 class _InfinityPoint:
@@ -37,9 +37,7 @@ def _monic_den(num: Poly, den: Poly):
     den made monic, and 0/1 for zero."""
     if num.is_zero:
         return num, Poly.one(num.field)
-    if den.is_monic:
-        return num, den
-    return num.scale(den.field.one / den.lc), den.monic()
+    return _over_lc(num, den), _over_lc(den, den)
 
 
 class RatFun:
@@ -127,7 +125,7 @@ class RatFun:
             same_field(self.field, other.field)
             return RatFun.from_poly(other)
         try:
-            return RatFun.constant(self.field.coerce(other), self.field)
+            return RatFun.constant(other, self.field)
         except TypeError:
             return None
 

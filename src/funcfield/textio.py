@@ -1,10 +1,17 @@
-"""Text syntax for polynomials and rational functions.
+r"""Text syntax for polynomials and rational functions.
 
 Accepted syntax: integer or a/b rational coefficients, the variable z,
 operators + - * / ^ (also **), and parentheses, e.g. "3/4*z^2 - z + 1" or
 "(z^2 + 1)/(z - 5)".  Whitespace is ignored.  Exponents may be negative on
 nonzero subexpressions.  Any variable other than z is rejected, as is any
 non-univariate input.
+
+One compiled pattern (`_TOKEN`) splits the text into operators, integers
+and names.  Its classes are those of `str`: \s, \d and \w hold the
+characters that `isspace`, `isdecimal` and `isalnum` accept, and "_", so
+any Unicode decimal digits form an integer ("٣" is 3), and a name is a
+run of word characters whose first one is alphabetic or "_".  Any other
+character, such as "²" outside a name, is an error at its position.
 
 Expressions evaluate to (numerator, denominator) pairs of polynomials with
 one cancellation at the end, so "1/z^2 - 2 + z^2" and "(1 - z^2)^2/z^2"
@@ -18,12 +25,13 @@ before it is expanded.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .budget import BudgetError
 from .fields import Field, QQ
-from .poly import Poly, poly_gcd
+from .poly import Poly, _over_lc, poly_gcd
 from .ratfun import INFINITY, RatFun
 
 # The largest power the parser expands, in predicted bytes of the result
@@ -37,42 +45,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-_OPS = set("+-*/^()")
 _INFINITY_TOKENS = ("inf", "oo", "infinity")
+
+# Operators ("**" before "*"), runs of decimal digits, runs of word
+# characters, and any other non-space character, in that order.  Every
+# non-space character starts some match, so `finditer` skips exactly the
+# whitespace.  `re` has no class for "alphabetic or _", the first
+# character of a name (\w also holds numerics such as "²"), so
+# `_tokenize` checks it.
+_TOKEN = re.compile(r"([-+/^()]|\*\*?)|(\d+)|(\w+)|(\S)")
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     tokens: List[Tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("**", i):
-            tokens.append(("op", "^", i))
-            i += 2
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        value = match[group]
+        if group == 1:
+            tokens.append(("op", "^" if value == "**" else value,
+                           match.start()))
+        elif group == 2:
+            tokens.append(("int", int(value), match.start()))
+        elif group == 3 and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(("name", value, match.start()))
+        else:
+            raise ParseError(f"unexpected character {value[0]!r}",
+                             match.start())
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -98,8 +97,12 @@ class _Parser:
         self.advance()
 
     def times(self, a: Poly, b: Poly) -> Poly:
-        """a * b, skipping a factor equal to one."""
-        return b if a == self.one else a if b == self.one else a * b
+        """a * b, skipping a factor equal to one (most often the atoms'
+        own denominator, `self.one` itself)."""
+        one = self.one
+        if a is one or a == one:
+            return b
+        return a if b is one or b == one else a * b
 
     def parse(self) -> Tuple[Poly, Poly]:
         value = self.expr()
@@ -227,7 +230,7 @@ def _quotient(text: str, field: Field) -> Optional[Poly]:
     """The parsed value as a polynomial, or None if it is not one."""
     num, den = _Parser(text, field).parse()
     if den.degree == 0:
-        return num if den.is_monic else num.scale(1 / den.lc)
+        return _over_lc(num, den)
     quot, rem = divmod(num, den)
     return None if rem else quot
 

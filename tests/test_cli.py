@@ -337,6 +337,22 @@ def test_timing_has_sub_millisecond_resolution():
     assert "timing_ms" not in report.to_json(stable=True)
 
 
+def test_timing_includes_argv_parsing(capsys, monkeypatch):
+    parser = cli.build_parser()
+    parse = parser.parse_args
+
+    def slow_parse(*args, **kwargs):
+        time.sleep(0.005)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_args", slow_parse)
+    assert dispatch(["deg", "--f", "z"]).timing_ms >= 5
+    assert main(["--json", "deg", "--f", "z"]) == 0
+    assert json.loads(capsys.readouterr().out)["timing_ms"] >= 5
+    assert main(["--json", "--stable", "deg", "--f", "z"]) == 0
+    assert "timing_ms" not in json.loads(capsys.readouterr().out)
+
+
 def test_main_prints_and_returns_exit_code(capsys):
     assert main(["--json", "--stable", "ec-rank"]) == 0
     out = capsys.readouterr().out

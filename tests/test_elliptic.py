@@ -1,5 +1,6 @@
 """Group law, heights, fibers and rank of the reference elliptic surface."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -535,6 +536,39 @@ def test_growth_report_takes_one_gcd_per_step(gcds):
 
 
 # -- degree growth -----------------------------------------------------------
+
+
+def test_growth_report_derives_each_z_once(monkeypatch):
+    derivations = []
+    weight_den = elliptic._weight_den
+
+    def counting_weight_den(point):
+        if point._z is None:
+            derivations.append(point)
+        return weight_den(point)
+
+    monkeypatch.setattr(elliptic, "_weight_den", counting_weight_den)
+    p3 = ec_multiply(CURVE, 3, P1)
+    for point, n_max in ((P1, 12), (p3, 5)):
+        base = ECPoint(point.x, point.y)  # with no Z kept yet
+        derivations.clear()
+        degree_growth_report(CURVE, base, n_max)
+        # the base point's Z; every sum carries its own from the step
+        assert len(derivations) == 1 and derivations[0] is base
+
+
+def test_cached_z_is_not_part_of_the_point():
+    p3 = ec_multiply(CURVE, 3, P1)
+    total = elliptic._add(CURVE, p3, P1)
+    assert total._z == total.y.den // total.x.den
+    bare = ECPoint(total.x, total.y)
+    assert bare._z is None
+    assert bare == total and hash(bare) == hash(total)
+    assert repr(bare) == repr(total) and "_z" not in repr(total)
+    assert elliptic._weight_den(bare) == total._z == bare._z
+    moved = dataclasses.replace(total, y=-total.y)
+    assert moved._z is None and moved == -total
+    assert elliptic._weight_den(moved) == total._z
 
 
 def test_degree_growth_small():
