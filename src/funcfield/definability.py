@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .budget import BudgetError
@@ -442,12 +443,12 @@ def is_derivative(g: RatFun) -> Tuple[bool, Optional[RatFun]]:
     poly_part, proper_num = divmod(remainder.num, remainder.den)
     if not proper_num.is_zero:
         return False, None
-    field = g.field
-    antiderivative_coeffs = [field.zero]
-    for i, c in enumerate(poly_part.coeffs):
-        antiderivative_coeffs.append(c / field.coerce(i + 1))
-    certificate = h + RatFun.from_poly(Poly(antiderivative_coeffs, field))
-    return True, certificate
+    # over Q (`hermite_reduce` refuses characteristic p), the integral of
+    # sum c_i z^i / d is sum c_i (L / (i + 1)) z^(i + 1) / (d L), L = lcm(1..n)
+    scale = lcm(*range(1, len(poly_part._ints) + 1))
+    antiderivative = _normal([0] + [c * (scale // i) for i, c in enumerate(
+        poly_part._ints, 1)], poly_part._den * scale, g.field)
+    return True, h + RatFun.from_poly(antiderivative)
 
 
 # -- square pairs and Frobenius decomposition ----------------------------

@@ -22,7 +22,7 @@ from math import isinf
 from typing import Iterable, List, Optional, Tuple
 
 from .fields import Field, FpElement
-from .poly import Poly, poly_gcd, squarefree_decomposition
+from .poly import Poly, _strip_root, poly_gcd, squarefree_decomposition
 from .ratfun import INFINITY, RatFun
 from .textio import parse_poly
 
@@ -228,13 +228,10 @@ def campana_member(f: RatFun, points, ell) -> bool:
     unbounded = ell is INFINITY or (isinstance(ell, float) and isinf(ell))
     if not unbounded and (not isinstance(ell, int) or ell < 1):
         raise ValueError(f"ell must be an integer >= 1 or infinity, got {ell}")
-    finite_points = []
-    drop_infinity = False
-    for point in points:
-        if point is INFINITY:
-            drop_infinity = True
-        else:
-            finite_points.append(f.field.coerce(point))
+    points = list(points)
+    drop_infinity = any(point is INFINITY for point in points)
+    finite_points = [f.field.coerce(point) for point in points
+                     if point is not INFINITY]
     remaining: List[int] = []
     for place, mult in pole_divisor(f).entries:
         if place.is_infinity:
@@ -243,13 +240,10 @@ def campana_member(f: RatFun, points, ell) -> bool:
             continue
         block = place.poly
         for a in finite_points:
-            if not block(a):
-                block = block // Poly((-a, f.field.one), f.field)
+            block = _strip_root(block, a)[1]
         if block.degree > 0:
             remaining.append(mult)
-    if unbounded:
-        return not remaining
-    return all(m >= ell for m in remaining)
+    return not remaining if unbounded else all(m >= ell for m in remaining)
 
 
 def y_set_member(divisor: Divisor, n: int, ell: int) -> bool:

@@ -7,27 +7,25 @@ h(2^k P)/4^k, the c4/c6/delta invariants, the Kodaira type of each bad
 fiber from the valuation triple of a minimal model (characteristic 0),
 and the Shioda-Tate rank count for rational elliptic surfaces.
 
-Multiples nP (|n| >= 2) of a point with y(P) != 0 come from the division
-values W_k = psi_k(P) in k[z] (Ward's elliptic divisibility sequence) on
-a model (u^2 x, u^3 y, u^4 A, u^6 B) where all four are polynomials
-(`_integral_model`), mapped back by x / u^2 and y / u^3.  On that model
+The group law and the heights move the curve to a model with polynomial
+A and B, (x, y, A, B) -> (u^2 x, u^3 y, u^4 A, u^6 B) for the least monic
+u (`_curve_model`, Silverman, AEC, III.1), check the point and compute
+there, and map the result back by x / u^2 and y / u^3.  `ec_add` and
+`degree_growth_report` run the chord-tangent law in weighted coordinates,
+x = X / Z^2 and y = Y / Z^3, with no division and one certified gcd per
+sum (`_add`, `_lowest_weighted`).  `ec_multiply` and
+`canonical_height_estimate` read nP (|n| >= 2, y(P) != 0) off the
+division values W_k = psi_k(P) in k[z] (Ward's elliptic divisibility
+sequence) on a model where x and y are polynomials too
+(`_integral_model`).  There
 
     x(nP) = (x W_n^2 - W_{n-1} W_{n+1}) / W_n^2,
     y(nP) = Omega_n / (2 W_n^3),
     Omega_n = (W_{n+2} W_{n-1}^2 - W_{n-2} W_{n+1}^2) / W_2,
 
 with W_n = 0 exactly when nP = O.  Only the O(log n) values that the
-halving recurrences touch are computed, and lowest terms are certified by
-two gcds on W_n-sized operands: when gcd(W_n, W_{n-1}) and
-gcd(W_n, W_{n+1}) are constant, both coordinates are in lowest terms as
-they stand (the proof is at `_division_multiple`).  A point through the
-singular point of a finite fiber makes them nonconstant, and then both
-coordinates are reduced by a full gcd.  `ec_multiply` and
-`canonical_height_estimate` take this route; `ec_add` and
-`degree_growth_report` use the chord-tangent law.  On a curve with
-polynomial A and B that law runs in weighted coordinates, x = X / Z^2 and
-y = Y / Z^3, with no division, and one gcd with a divisibility
-certificate brings each sum to lowest terms (`_add`, `_lowest_weighted`).
+halving recurrences touch are computed, and two gcds on W_n-sized
+operands certify lowest terms (`_division_multiple`).
 
 The division values of the reference point below are sparse in a fixed
 pattern.  psi_n is isobaric of weight n^2 - 1 when x, y, A and B have
@@ -127,9 +125,7 @@ class ECPoint:
         return self.x is None
 
     def __neg__(self) -> "ECPoint":
-        if self.is_identity:
-            return self
-        return ECPoint(self.x, -self.y)
+        return self if self.is_identity else ECPoint(self.x, -self.y)
 
     def __str__(self):
         return "O" if self.is_identity else f"({self.x}, {self.y})"
@@ -143,8 +139,9 @@ def generator_point(field: Field = QQ) -> ECPoint:
 def on_curve(curve: Curve, point: ECPoint) -> bool:
     """Whether the point satisfies the curve equation.
 
-    For polynomial A and B the test needs no gcd.  With x = N/D and
-    y = M/E in canonical form, y^2 = M^2/E^2 is canonical, and so is
+    The test runs on `_curve_model`'s model, whose equation is the
+    curve's times u^6, and needs no gcd there.  With x = N/D and y = M/E
+    in canonical form, y^2 = M^2/E^2 is canonical, and so is
     x^3 + A x + B = (N (N^2 + A D^2) + B D^3) / D^3, since that numerator
     is N^3 mod D and N is prime to D.  Two canonical forms are equal
     exactly when their parts are: E^2 = D^3 (degrees first) and
@@ -152,31 +149,25 @@ def on_curve(curve: Curve, point: ECPoint) -> bool:
     """
     if point.is_identity:
         return True
-    x, y = point.x, point.y
-    if not (curve.A.is_polynomial and curve.B.is_polynomial):
-        return y ** 2 == x ** 3 + curve.A * x + curve.B
-    d, e = x.den, y.den
+    u, curve = _curve_model(curve)
+    point = _to_model(u, point)
+    d, e = point.x.den, point.y.den
     if 2 * e.degree != 3 * d.degree:
         return False
     d2 = d * d
     d3 = d2 * d
     if e * e != d3:
         return False
-    n = x.num
-    return y.num * y.num == n * (n * n + curve.A.num * d2) + curve.B.num * d3
-
-
-def _require_on_curve(curve: Curve, point: ECPoint) -> None:
-    if not on_curve(curve, point):
-        raise OffCurveError(f"{point} does not lie on {curve}")
+    n, m = point.x.num, point.y.num
+    return m * m == n * (n * n + curve.A.num * d2) + curve.B.num * d3
 
 
 def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """P + Q by the chord-tangent law.
+    """P + Q by the chord-tangent law, for polynomial A and B.
 
-    With A and B polynomial, every affine point is (X / Z^2, Y / Z^3) in
-    lowest terms (`on_curve`'s E^2 = D^3), and the law in these weighted
-    coordinates (Cohen-Miyaji-Ono 1998) needs no division:
+    Every affine point is then (X / Z^2, Y / Z^3) in lowest terms
+    (`on_curve`'s E^2 = D^3), and the law in these weighted coordinates
+    (Cohen-Miyaji-Ono 1998) needs no division:
 
         chord:   U1 = X1 Z2^2, U2 = X2 Z1^2, S1 = Y1 Z2^3, S2 = Y2 Z1^3,
                  H = U2 - U1, R = S2 - S1,
@@ -186,8 +177,7 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
                  X3 = L^2 - 2 S, Y3 = L (S - X3) - 8 Y1^4, Z3 = 2 Y1 Z1.
 
     One gcd, or three small ones when its certificate fails, brings the
-    sum to lowest terms (`_lowest_weighted`).  Other curves run the affine
-    law on `RatFun`s, where every operation cancels with its own gcds.
+    sum to lowest terms (`_lowest_weighted`).
     """
     if p.is_identity:
         return q
@@ -195,8 +185,6 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
         return p
     if p.x == q.x and p.y == -q.y:
         return ECPoint.identity()
-    if not (curve.A.is_polynomial and curve.B.is_polynomial):
-        return _affine_add(curve, p, q)
     x1, y1, z1 = p.x.num, p.y.num, _weight_den(p)
     if p.x == q.x:  # then y(P) = y(Q) != 0
         l = (x1 * x1).scale(3) + curve.A.num * (z1 * z1) ** 2
@@ -214,17 +202,6 @@ def _add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
     u1hh, hhh = u1 * hh, hh * h
     x3 = r * r - hhh - u1hh.scale(2)
     return _lowest_weighted(x3, r * (u1hh - x3) - s1 * hhh, z1 * z2 * h)
-
-
-def _affine_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """P + Q on `RatFun`s for affine P and Q != -P, on any curve."""
-    if p.x == q.x:
-        slope = (3 * p.x ** 2 + curve.A) / (2 * p.y)
-    else:
-        slope = (q.y - p.y) / (q.x - p.x)
-    x3 = slope ** 2 - p.x - q.x
-    y3 = slope * (p.x - x3) - p.y
-    return ECPoint.affine(x3, y3)
 
 
 def _weight_den(point: ECPoint) -> Poly:
@@ -276,46 +253,74 @@ def _lowest_weighted(x3: Poly, y3: Poly, z3: Poly) -> ECPoint:
 
 
 def ec_add(curve: Curve, p: ECPoint, q: ECPoint) -> ECPoint:
-    """Chord-tangent addition."""
-    _require_on_curve(curve, p)
-    _require_on_curve(curve, q)
-    return _add(curve, p, q)
+    """Chord-tangent addition, by `_add` on `_curve_model`'s model."""
+    u, model, (p, q) = _on_model(curve, p, q)
+    total = _add(model, p, q)
+    return total if u is None or total.is_identity else ECPoint.affine(
+        _from_model(u, total.x, 2), _from_model(u, total.y, 3))
 
 
 def ec_multiply(curve: Curve, n: int, point: ECPoint) -> ECPoint:
     """n-th multiple, from the division values of P on a polynomial model
     for |n| >= 2 (see the module docstring); negative n via negation."""
-    _require_on_curve(curve, point)
+    u, model, base = _integral_model(curve, point)
     if n == 0 or point.is_identity or (point.y.is_zero and n % 2 == 0):
         return ECPoint.identity()
     if abs(n) == 1 or point.y.is_zero:  # W_2 = 2y = 0 cannot divide
         return point if n > 0 else -point
-    u, model, base = _integral_model(curve, point)
     multiple = _division_multiple(model, base, abs(n))
     if u is not None and not multiple.is_identity:
-        multiple = ECPoint.affine(multiple.x / u ** 2, multiple.y / u ** 3)
+        multiple = ECPoint.affine(_from_model(u, multiple.x, 2),
+                                  _from_model(u, multiple.y, 3))
     return multiple if n > 0 else -multiple
 
 
-# -- multiples from the division values -----------------------------------
+# -- the polynomial model and its division values ---------------------------
+
+
+def _curve_model(curve: Curve):
+    """(u, E') with E': y^2 = x^3 + u^4 A x + u^6 B for the least monic u
+    making both polynomials (Silverman, AEC, III.1), or (None, E) when they
+    already are.  Each round takes up to 4 and 6 off every pole order."""
+    a, b, u = curve.A, curve.B, None
+    while not (a.is_polynomial and b.is_polynomial):
+        t = radical(a.den * b.den)
+        a, b, u = a * t ** 4, b * t ** 6, t if u is None else u * t
+    return (None, curve) if u is None else (u, Curve(a, b))
+
+
+def _to_model(u: Optional[Poly], point: ECPoint) -> ECPoint:
+    """(u^2 x, u^3 y), or the point itself for u = None or the identity."""
+    if u is None or point.is_identity:
+        return point
+    return ECPoint.affine(point.x * u ** 2, point.y * u ** 3)
+
+
+def _from_model(u: Optional[Poly], value: RatFun, weight: int) -> RatFun:
+    """value / u^weight: x (weight 2) or y (weight 3) back from a model."""
+    return value if u is None else value / u ** weight
+
+
+def _on_model(curve: Curve, *points: ECPoint):
+    """(u, E', [P', ...]) for `_curve_model` and P' = `_to_model(u, P)`,
+    each checked on E' (the curve's equation times u^6)."""
+    u, model = _curve_model(curve)
+    moved = [_to_model(u, point) for point in points]
+    for point, image in zip(points, moved):
+        if not on_curve(model, image):
+            raise OffCurveError(f"{point} does not lie on {curve}")
+    return u, model, moved
 
 
 def _integral_model(curve: Curve, point: ECPoint):
-    """(u, E', P') with E': y^2 = x^3 + u^4 A x + u^6 B and P' = (u^2 x,
-    u^3 y), for the least monic u making all four polynomials (Silverman,
-    AEC, III.1), or (None, E, P) when they already are.  Each round takes
-    up to 4 and 6 off every pole order of A and B; then x = X / Z^2 and
-    y = Y / Z^3 with Z from `_weight_den`."""
-    a, b, x, y = curve.A, curve.B, point.x, point.y
-    if a.is_polynomial and b.is_polynomial and x.is_polynomial:
-        return None, curve, point
-    u = Poly.one(curve.field)
-    while not (a.is_polynomial and b.is_polynomial):
-        t = radical(a.den * b.den)
-        a, b, x, y, u = a * t ** 4, b * t ** 6, x * t ** 2, y * t ** 3, u * t
-    z = _weight_den(ECPoint.affine(x, y))
-    return u * z, Curve(a * z ** 4, b * z ** 6), \
-        ECPoint.affine(x * z ** 2, y * z ** 3)
+    """(u, E', P') as `_on_model`, with u times the Z of `_weight_den`
+    when x is not a polynomial, so that x and y are too."""
+    u, model, (point,) = _on_model(curve, point)
+    if point.is_identity or point.x.is_polynomial:
+        return u, model, point
+    z = _weight_den(point)
+    return (z if u is None else u * z), \
+        Curve(model.A * z ** 4, model.B * z ** 6), _to_model(z, point)
 
 
 def _division_values(curve: Curve, point: ECPoint):
@@ -411,7 +416,7 @@ def _division_multiple(curve: Curve, point: ECPoint, n: int) -> ECPoint:
 
 def naive_height(curve: Curve, point: ECPoint) -> int:
     """Map degree of the x-coordinate of an affine point."""
-    _require_on_curve(curve, point)
+    _on_model(curve, point)
     return _naive_height(point)
 
 
@@ -425,21 +430,18 @@ def _naive_height(point: ECPoint) -> int:
 def canonical_height_estimate(curve: Curve, point: ECPoint, k: int) -> Fraction:
     """h(2^k P) / 4^k as an exact rational (k >= 1, P affine non-torsion).
 
-    Only P is checked against the curve; x(2^k P) comes from the division
-    values on P's polynomial model, and its height is read off directly.
-    """
+    Only P is checked; x(2^k P) comes from the division values on P's
+    integral model, and its height is read off directly."""
     if k < 1:
         raise ValueError("doubling count must be >= 1")
-    _require_on_curve(curve, point)
+    u, model, base = _integral_model(curve, point)
     if point.is_identity:
         raise ValueError("height estimate needs an affine point")
-    if point.y.is_zero:  # 2P = O
+    x = None if point.y.is_zero else _division_x(
+        _division_values(model, base), base.x.num, 2 ** k)[0]
+    if x is None:  # 2^k P = O, or 2P = O at y = 0
         raise TorsionPointError(f"{point} is torsion")
-    u, model, base = _integral_model(curve, point)
-    x = _division_x(_division_values(model, base), base.x.num, 2 ** k)[0]
-    if x is None:
-        raise TorsionPointError(f"{point} is torsion")
-    return Fraction((x if u is None else x / u ** 2).map_degree(), 4 ** k)
+    return Fraction(_from_model(u, x, 2).map_degree(), 4 ** k)
 
 
 def degree_growth_report(
@@ -450,23 +452,21 @@ def degree_growth_report(
     Each multiple is the sum of two earlier ones, nP = (n - n//2)P +
     (n//2)P, so the report takes n_max group-law steps, each on points of
     about a quarter of the result's degree; adding P to (n-1)P instead
-    works on points almost as large as the result and costs more.  On a
-    curve with polynomial A and B each step is the weighted law of `_add`:
-    products, then one gcd, and two more on small operands only when its
-    certificate fails.  The point is checked once; its multiples,
-    computed here, are not.
+    works on points almost as large as the result and costs more.  Each
+    step is `_add` on `_curve_model`'s model.  The point is checked once;
+    its multiples, computed here, are not.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _require_on_curve(curve, point)
+    u, model, (base,) = _on_model(curve, point)
     rows = []
-    multiples = {0: ECPoint.identity(), 1: point}
+    multiples = {0: ECPoint.identity(), 1: base}
     for n in range(1, n_max + 1):
-        multiple = multiples[n] = _add(curve, multiples[n - n // 2],
+        multiple = multiples[n] = _add(model, multiples[n - n // 2],
                                        multiples[n // 2])
         if multiple.is_identity:
             raise TorsionPointError(f"{n} * {point} is the identity")
-        degree = multiple.x.map_degree()
+        degree = _from_model(u, multiple.x, 2).map_degree()
         rows.append((n, degree, Fraction(2 * degree, n * n)))
     return rows
 
@@ -615,11 +615,8 @@ def bad_fibers(curve: Curve) -> List[FiberReport]:
                         FiberReport(Place.finite(piece), v4, v6, vd, kodaira))
 
     # infinity: valuations in w = 1/z after the minimal u = w^k rescaling
-    k = 0
-    if not a_poly.is_zero:
-        k = max(k, ceil(a_poly.degree / 4))
-    if not b_poly.is_zero:
-        k = max(k, ceil(b_poly.degree / 6))
+    # (the zero polynomial has degree -1, which asks for no k)
+    k = max(0, ceil(a_poly.degree / 4), ceil(b_poly.degree / 6))
     v4 = None if c4_poly.is_zero else 4 * k - c4_poly.degree
     v6 = None if c6_poly.is_zero else 6 * k - c6_poly.degree
     vd = 12 * k - delta_poly.degree

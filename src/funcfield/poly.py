@@ -322,6 +322,19 @@ def _over_lc(f: Poly, g: Poly, k: int = 1) -> Poly:
     return _normal([a * e for a in f._ints], f._den * c ** k, field)
 
 
+def _strip_root(f: Poly, a) -> Tuple[int, Poly]:
+    """(m, f / (z - a)^m) for the multiplicity m of the root a of f (0 for
+    f = 0), by one division per step: its remainder is f(a)."""
+    n, d = _ratio(a)
+    linear, count = _normal([-n, d], d, f.field), 0
+    while f:
+        quotient, remainder = divmod(f, linear)
+        if remainder:
+            break
+        f, count = quotient, count + 1
+    return count, f
+
+
 def _ratio(c) -> Tuple[int, int]:
     """(n, d) with c = n / d for a field element: a Fraction's own pair, an
     FpElement's residue over 1."""

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .fields import Field, QQ, same_field
-from .poly import Poly, _over_lc, poly_gcd, squarefree_decomposition
+from .poly import (Poly, _over_lc, _strip_root, poly_gcd,
+                   squarefree_decomposition)
 
 
 class _InfinityPoint:
@@ -244,7 +245,7 @@ class RatFun:
         if point is INFINITY:
             return self.den.degree - self.num.degree
         a = self.field.coerce(point)
-        return _root_multiplicity(self.num, a) - _root_multiplicity(self.den, a)
+        return _strip_root(self.num, a)[0] - _strip_root(self.den, a)[0]
 
     # -- squares --------------------------------------------------------
 
@@ -297,13 +298,4 @@ def _cancel(num: Poly, den: Poly):
     if g.degree > 0:
         return num // g, den // g
     return num, den
-
-
-def _root_multiplicity(p: Poly, a) -> int:
-    linear = Poly((-a, p.field.one), p.field)
-    count = 0
-    while not p.is_zero and not p(a):
-        p = p // linear
-        count += 1
-    return count
 

@@ -107,6 +107,10 @@ _GROWTH_BAND = (Fraction(85, 100), Fraction(115, 100))
 
 
 def verify_elliptic(n_max: int = 8) -> SuiteResult:
+    """Fibers, rank, lattice, heights and degree growth of the reference
+    point.  The dual route checks `ec_add` chains against `ec_multiply`:
+    the sums run the chord-tangent law, the multiples the division values,
+    and the two share only the move to the polynomial model."""
     curve = default_curve()
     base = generator_point()
     checks: List[CheckResult] = []
@@ -160,12 +164,11 @@ def verify_elliptic(n_max: int = 8) -> SuiteResult:
         ", ".join(f"n={n}: deg={deg} ratio={ratio}"
                   for n, deg, ratio in rows)))
 
-    dual_ok = True
-    accumulated = base
+    accumulated, dual_ok = base, True
     for n in range(2, n_max + 1):
         accumulated = ec_add(curve, accumulated, base)
-        if accumulated != ec_multiply(curve, n, base):
-            dual_ok = False
+        dual_ok = accumulated == ec_multiply(curve, n, base)
+        if not dual_ok:
             break
     checks.append(CheckResult(
         "dual-route-multiples", dual_ok, f"n <= {n_max}"))

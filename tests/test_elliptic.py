@@ -154,10 +154,16 @@ def test_multiply_additivity():
 # -- multiples from the division values ------------------------------------
 
 
-def chord_tangent_multiple(curve, n, point, add=elliptic._add):
-    """nP by chord-tangent double-and-add on the group law `_add` (bound
-    at import, so `_chord_tangent_steps` does not count it): the reference
-    every multiple from the division values is checked against."""
+_WEIGHTED_ADD = elliptic._add
+
+
+def chord_tangent_multiple(curve, n, point):
+    """nP by chord-tangent double-and-add: the reference every multiple
+    from the division values is checked against.  The group law is `_add`
+    (bound at import, so `_chord_tangent_steps` does not count it) on a
+    curve with polynomial A and B, and `affine_sum` on any other."""
+    add = _WEIGHTED_ADD if curve.A.is_polynomial and curve.B.is_polynomial \
+        else affine_sum
     if n < 0:
         n, point = -n, -point
     result = ECPoint.identity()
@@ -297,6 +303,19 @@ def test_canonical_height_of_a_rational_point(monkeypatch):
     assert not steps
 
 
+def _seeded_w(rng, field):
+    """A seeded monic w of degree 1 or 2."""
+    cs = [rng.randrange(-2, 3) for _ in range(rng.randint(1, 2))]
+    return RatFun.from_poly(Poly(cs + [1], field))
+
+
+def _scaled(curve, point, w):
+    """The curve and point moved by (x, y) -> (x / w^2, y / w^3), onto
+    y^2 = x^3 + (A / w^4) x + B / w^6."""
+    return Curve(curve.A / w ** 4, curve.B / w ** 6), \
+        ECPoint.affine(point.x / w ** 2, point.y / w ** 3)
+
+
 def _sweep_points(rng):
     """P, 2P and 3P of the reference point over F_3, F_5, F_7 and F_101,
     and P and 2P over Q, each also on the model scaled by 1/w for a seeded
@@ -307,12 +326,10 @@ def _sweep_points(rng):
                       (PrimeField(5), (1, 2, 3)), (PrimeField(7), (1, 2, 3)),
                       (PrimeField(101), (1, 2, 3))):
         curve, point = default_curve(field), generator_point(field)
-        cs = [rng.randrange(-2, 3) for _ in range(rng.randint(1, 2))]
-        w = RatFun.from_poly(Poly(cs + [1], field))
-        scaled = Curve(curve.A / w ** 4, curve.B / w ** 6)
+        w = _seeded_w(rng, field)
         for m in ms:
             q = chord_tangent_multiple(curve, m, point)
-            moved = ECPoint.affine(q.x / w ** 2, q.y / w ** 3)
+            scaled, moved = _scaled(curve, q, w)
             # B = 1 has no zero, so the least model of the scaled point
             # undoes the scaling exactly
             u = elliptic._integral_model(curve, q)[0]
@@ -370,10 +387,99 @@ def test_on_curve_compares_numerators_and_denominators():
         assert on_curve(CURVE, point) == ratfun_check(CURVE, point)
     assert on_curve(CURVE, p3)
     assert not any(on_curve(CURVE, point) for point in off)
-    # rational A keeps the RatFun check
+    # rational A: the same test on the model (u = z)
     rational_a = Curve(R("1/z"), R("1"))
     assert on_curve(rational_a, P1)
     assert not on_curve(rational_a, ECPoint.affine(R("1/z"), R("1")))
+
+
+# -- curves with rational A or B -------------------------------------------
+
+# the reference curve and point moved by (x, y) -> (x / w^2, y / w^3) with
+# w = z + 1, and a curve whose A has a pole at 0 (u = z)
+TWISTED = (Curve(R("z/(z+1)^4"), R("1/(z+1)^6")),
+           ECPoint.affine(R("0"), R("1/(z+1)^3")))
+POLE_AT_ZERO = (Curve(R("1/z"), R("1")), P1)
+
+
+def _rational_cases(field, rng):
+    """As in `_sweep_points`, the reference point scaled by 1/w for a
+    seeded monic w, and so the 2-torsion point (z, 0) of
+    y^2 = x^3 + x - z^3 - z: two curves whose A is rational."""
+    w, z = _seeded_w(rng, field), RatFun.gen(field)
+    cases = [_scaled(default_curve(field), generator_point(field), w),
+             _scaled(Curve(RatFun.one(field), -z ** 3 - z),
+                     ECPoint.affine(z, RatFun.zero(field)), w)]
+    assert not any(curve.A.is_polynomial for curve, _ in cases)
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5),
+                                   PrimeField(101)], ids=str)
+def test_ec_add_on_rational_curves_matches_the_affine_law(field):
+    rng = random.Random(2701 + field.characteristic)
+    for curve, point in _rational_cases(field, rng):
+        multiples = affine_multiples(curve, point, 4)
+        # chords, doublings (m = n), the identity (m = 0), P + (-P) and
+        # differences; for the 2-torsion point 2P = O and 3P = P
+        pairs = [(m, n) for m in range(5) for n in range(m, 5)]
+        pairs += [(m, -n) for m in range(1, 5) for n in range(1, 5)]
+        for m, n in pairs:
+            p = multiples[m]
+            q = multiples[n] if n >= 0 else -multiples[-n]
+            assert ec_add(curve, p, q) == affine_sum(curve, p, q), (m, n)
+        if point.y.is_zero:
+            assert ec_add(curve, point, point).is_identity
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5),
+                                   PrimeField(101)], ids=str)
+def test_on_curve_on_rational_curves_matches_the_equation(field):
+    def equation(curve, point):
+        return point.y ** 2 == point.x ** 3 + curve.A * point.x + curve.B
+
+    rng = random.Random(2801 + field.characteristic)
+    one, z = RatFun.one(field), RatFun.gen(field)
+    for curve, point in _rational_cases(field, rng):
+        for multiple in affine_multiples(curve, point, 3)[1:]:
+            if multiple.is_identity:
+                continue
+            x, y = multiple.x, multiple.y
+            moved = [ECPoint.affine(x + one, y), ECPoint.affine(x, y + one),
+                     ECPoint.affine(x * z, y), ECPoint.affine(x, y / z)]
+            assert on_curve(curve, multiple) and equation(curve, multiple)
+            # (x z and y / z leave x = 0 and y = 0 where they are)
+            for bad in [point for point in moved if point != multiple]:
+                assert on_curve(curve, bad) == equation(curve, bad)
+                assert not on_curve(curve, bad)
+                with pytest.raises(OffCurveError):
+                    ec_add(curve, multiple, bad)
+
+
+def test_growth_report_on_rational_curves_matches_chord_tangent():
+    for curve, point in (TWISTED, POLE_AT_ZERO):
+        expected = []
+        for n in range(1, 9):
+            degree = chord_tangent_multiple(curve, n, point).x.map_degree()
+            expected.append((n, degree, Fraction(2 * degree, n * n)))
+        assert degree_growth_report(curve, point, 8) == expected
+
+
+def test_group_law_runs_only_on_polynomial_models(monkeypatch):
+    add = elliptic._add
+
+    def polynomial_add(curve, p, q):
+        assert curve.A.is_polynomial and curve.B.is_polynomial
+        return add(curve, p, q)
+
+    monkeypatch.setattr(elliptic, "_add", polynomial_add)
+    for curve, point in (TWISTED, POLE_AT_ZERO):
+        double = affine_sum(curve, point, point)
+        assert ec_add(curve, point, point) == double
+        assert ec_add(curve, double, point) \
+            == affine_sum(curve, double, point)
+        assert degree_growth_report(curve, point, 5)[-1][1] \
+            == chord_tangent_multiple(curve, 5, point).x.map_degree()
 
 
 # -- heights -----------------------------------------------------------------
@@ -408,15 +514,21 @@ def test_canonical_height_torsion_report():
 
 
 def affine_sum(curve, p, q):
-    """P + Q by the affine law on `RatFun`s that `_add` keeps for curves
-    with rational A or B: the reference for the weighted law."""
+    """P + Q by the affine law on `RatFun`s, on any curve: the reference
+    for the weighted law and for every entry point on a curve with
+    rational A or B."""
     if p.is_identity:
         return q
     if q.is_identity:
         return p
     if p.x == q.x and p.y == -q.y:
         return ECPoint.identity()
-    return elliptic._affine_add(curve, p, q)
+    if p.x == q.x:
+        slope = (3 * p.x ** 2 + curve.A) / (2 * p.y)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    x3 = slope ** 2 - p.x - q.x
+    return ECPoint.affine(x3, slope * (p.x - x3) - p.y)
 
 
 def affine_multiples(curve, point, n):

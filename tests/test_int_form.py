@@ -191,3 +191,51 @@ def test_lowest_weighted_scales_by_the_leading_coefficient_on_ints(
     y3 = parse_poly("-8/27*(3*z^6 + 96*z^3 + 512)")
     z3 = parse_poly("-2/3*z^2")
     assert elliptic._lowest_weighted(x3, y3, z3) == expected
+
+
+def _horner_multiplicity(p, a):
+    """The root multiplicity by Horner evaluation at a field element and
+    division by z - a built with the validating constructor."""
+    linear, count = Poly((-a, p.field.one), p.field), 0
+    while not p.is_zero and not p(a):
+        p, count = p // linear, count + 1
+    return count
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_strip_root_divides_out_each_multiplicity(field, monkeypatch):
+    rest = parse_poly("z^2 + z + 2", field)  # 8 != 0 at z = 2, also mod 5
+    a = field.coerce(2)
+    cases = {m: parse_poly(f"(z - 2)^{m}", field) * rest for m in (0, 1, 3)}
+    zero = Poly.zero(field)
+    monkeypatch.setattr(RationalField, "coerce", _refuse)
+    monkeypatch.setattr(PrimeField, "coerce", _refuse)
+    monkeypatch.setattr(Poly, "coefficient", _refuse)
+    for m, f in cases.items():
+        assert poly._strip_root(f, a) == (m, rest)
+    assert poly._strip_root(rest * rest, a) == (0, rest * rest)
+    assert poly._strip_root(zero, a) == (0, zero)
+
+
+def test_strip_root_at_a_non_integral_point():
+    rest = parse_poly("z^2 + 1")
+    f = parse_poly("(3*z - 2)^3") * rest  # 27 (z - 2/3)^3 (z^2 + 1)
+    assert poly._strip_root(f, Fraction(2, 3)) == (3, rest.scale(27))
+    assert poly._strip_root(f, Fraction(3, 2)) == (0, f)
+    assert poly._strip_root(f, Fraction(-2, 3)) == (0, f)
+
+
+@examples
+@given(fields.flatmap(lambda field: st.tuples(
+    st.just(field), polys(field, 4), coefficients(field),
+    st.integers(0, 3))))
+def test_strip_root_matches_horner(case):
+    field, g, c, m = case
+    a = field.coerce(c)
+    linear = Poly((-a, field.one), field)
+    f = linear ** m * g
+    count, rest = poly._strip_root(f, a)
+    assert count == _horner_multiplicity(f, a)
+    assert linear ** count * rest == f
+    if f:
+        assert count >= m and rest(a)
