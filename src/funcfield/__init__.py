@@ -10,8 +10,7 @@ for the command-line front end.
 
 from .fields import (Field, FieldMismatchError, FpElement, PrimeField, QQ,
                      RationalField)
-from .poly import InseparablePartError, Poly, poly_gcd, radical, \
-    squarefree_decomposition
+from .poly import Poly, poly_gcd, radical, squarefree_decomposition
 from .ratfun import INFINITY, RatFun, SquareResult
 from .textio import ParseError, parse_point, parse_poly, parse_ratfun
 
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "FieldMismatchError", "FpElement", "PrimeField", "QQ",
-    "RationalField", "InseparablePartError", "Poly", "poly_gcd", "radical",
+    "RationalField", "Poly", "poly_gcd", "radical",
     "squarefree_decomposition", "INFINITY", "RatFun", "SquareResult",
     "ParseError", "parse_point", "parse_poly", "parse_ratfun",
     "__version__",

@@ -10,10 +10,11 @@ and the Shioda-Tate rank count for rational elliptic surfaces.
 The group law and the heights move the curve to a model with polynomial
 A and B, (x, y, A, B) -> (u^2 x, u^3 y, u^4 A, u^6 B) for the least monic
 u (`_curve_model`, Silverman, AEC, III.1), check the point and compute
-there, and map the result back by x / u^2 and y / u^3.  `ec_add` and
-`degree_growth_report` run the chord-tangent law in weighted coordinates,
-x = X / Z^2 and y = Y / Z^3, with no division and one certified gcd per
-sum (`_add`, `_lowest_weighted`).  `ec_multiply` and
+there, and map the result back by x / u^2 and y / u^3; `bad_fibers`
+reads the fibers on the same model.  `ec_add` and `degree_growth_report`
+run the chord-tangent law in weighted coordinates, x = X / Z^2 and
+y = Y / Z^3, with no division and one certified gcd per sum (`_add`,
+`_lowest_weighted`).  `ec_multiply` and
 `canonical_height_estimate` read nP (|n| >= 2, y(P) != 0) off the
 division values W_k = psi_k(P) in k[z] (Ward's elliptic divisibility
 sequence) on a model where x and y are polynomials too
@@ -571,18 +572,20 @@ def _block_valuation(block: Poly, decomposition) -> int:
 
 
 def bad_fibers(curve: Curve) -> List[FiberReport]:
-    """All bad fibers of the elliptic surface of a polynomial-coefficient curve.
+    """All bad fibers of the elliptic surface of the curve.
 
-    Finite places are the squarefree blocks of the discriminant, refined so
-    the c4/c6 valuations are constant across each block, then minimalized
-    and classified.  The place at infinity uses the substitution z = 1/w
-    with the least (x, y) -> (u^2 x, u^3 y) rescaling making the
-    coefficients w-integral, after which valuations reduce to degree counts.
+    The fibers are read on `_curve_model`'s model, whose A and B are
+    polynomials; it is isomorphic to the curve over k(z), so its minimal
+    models, bad fibers and Kodaira types are the curve's.  Finite places
+    are the squarefree blocks of the discriminant, refined so the c4/c6
+    valuations are constant across each block, then minimalized and
+    classified.  The place at infinity uses the substitution z = 1/w with
+    the least (x, y) -> (u^2 x, u^3 y) rescaling making the coefficients
+    w-integral, after which valuations reduce to degree counts.
     """
-    if not (curve.A.is_polynomial and curve.B.is_polynomial):
-        raise ValueError("fiber analysis needs polynomial coefficients")
     if curve.field.characteristic != 0:
         raise ValueError("fiber classification is residue-characteristic 0")
+    curve = _curve_model(curve)[1]
     a_poly, b_poly = curve.A.num, curve.B.num
     delta, c4, c6 = discriminant_and_c_invariants(curve)
     delta_poly, c4_poly, c6_poly = delta.num, c4.num, c6.num

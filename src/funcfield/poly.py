@@ -32,8 +32,9 @@ d u = q v + r with one integer d.  Gcds over Q run the heuristic gcd
 (GCDHEU) on the primitive numerators with a primitive pseudo-remainder
 sequence as fallback; README states the cost model.  Over F_p division
 and the Euclidean algorithm run on the residues.  Squarefree decomposition
-is the derivative-gcd cascade (Yun); in characteristic p a nonzero part
-with vanishing derivative aborts with an explicit inseparable-part report.
+is one loop for both fields (Musser): over F_p what it leaves has zero
+derivative, so it is r(z^p) = r^p, and the loop runs again on r, read off
+every p-th coefficient.
 """
 
 from __future__ import annotations
@@ -46,21 +47,6 @@ from math import lcm as int_lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .fields import Field, FpElement, same_field
-
-
-class InseparablePartError(ArithmeticError):
-    """Squarefree decomposition hit a nonzero part with zero derivative.
-
-    `part` is the undigested factor (a polynomial in z^p); `factors` holds
-    the separable factors already extracted, as (poly, exponent) pairs.
-    """
-
-    def __init__(self, part: "Poly", factors):
-        self.part = part
-        self.factors = list(factors)
-        super().__init__(
-            f"inseparable part {part} (characteristic "
-            f"{part.field.characteristic})")
 
 
 class Poly:
@@ -727,44 +713,36 @@ def _prs_gcd(u: List[int], v: List[int]) -> List[int]:
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:
-    """Write a = lc(a) * prod s_i^i with the s_i monic squarefree coprime.
+    """Write a = lc(a) * prod s_e^e with the s_e monic squarefree coprime.
 
-    Returns the (s_i, i) pairs with ascending exponents, omitting trivial
+    Returns the (s_e, e) pairs with ascending exponents, omitting trivial
     factors.  Constants decompose as the empty product.  Raises ValueError
-    on the zero polynomial and InseparablePartError when a characteristic-p
-    input has a factor in z^p.
+    on the zero polynomial.
+
+    Musser's loop, total over both fields: with g = gcd(f, f') and
+    h = f / g, h holds every factor whose multiplicity is not divisible by
+    the characteristic, and step i splits off s = h / gcd(g, h), those of
+    multiplicity exactly i, then divides g by gcd(g, h).  Over Q the g
+    left is 1.  Over F_p it is r(z^p) = r^p (as is every f with f' = 0),
+    so the loop runs again on r, read off every p-th coefficient, with its
+    exponents times p.  The rounds' exponents differ in their p-adic
+    valuation, so one sort orders them.
     """
     if a.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    f = a.monic()
-    if f.degree == 0:
-        return []
-    fp = f.derivative()
-    if fp.is_zero:
-        raise InseparablePartError(f, [])
-    g = poly_gcd(f, fp)
-    b = f // g
-    d = (fp // g) - b.derivative()
+    f, n, p = a.monic(), 1, a.field.characteristic
     factors: List[Tuple[Poly, int]] = []
-    i = 1
-    while b.degree > 0:
-        if i > f.degree:
-            raise InseparablePartError(f, factors)
-        s = poly_gcd(b, d)
-        if s.degree > 0:
-            factors.append((s, i))
-        b = b // s
-        d = (d // s) - b.derivative()
-        i += 1
-    if a.field.characteristic != 0:
-        rebuilt = Poly.one(a.field)
-        for s, e in factors:
-            rebuilt = rebuilt * s ** e
-        quot, rem = divmod(f, rebuilt)
-        if not rem.is_zero:
-            raise InseparablePartError(f, factors)
-        if quot.degree > 0:
-            raise InseparablePartError(quot, factors)
+    while f.degree > 0:
+        g = poly_gcd(f, f.derivative())
+        h, i = f // g, n
+        while h.degree > 0:
+            c = poly_gcd(g, h)
+            s = h // c
+            if s.degree > 0:
+                factors.append((s, i))
+            g, h, i = g // c, c, i + n
+        f, n = (_poly(g._ints[::p], 1, g.field) if p else g), n * p
+    factors.sort(key=lambda pair: pair[1])
     return factors
 
 

@@ -114,6 +114,13 @@ def test_ec_custom_curve():
                        "--x", "-1", "--y", "0"])
     assert report.exit_code == 2  # torsion base point
     assert "torsion" in report.outputs["error"]
+    # rational A: the fibers are read on the polynomial model
+    report = dispatch(["ec-fibers", "--A", "1/z", "--B", "1"])
+    assert {"place": "z", "type": "III*"}.items() \
+        <= report.outputs["fibers"][-1].items()
+    report = dispatch(["ec-rank", "--A", "1/z", "--B", "1"])
+    assert report.outputs["rank"] == 1
+    assert report.outputs["lattice"]["name"] == "A1*"
 
 
 def test_analytic_commands():

@@ -11,11 +11,11 @@ from funcfield.divisors import (Divisor, Place, campana_member,
                                 geometric_degree, mult_at, pn_member,
                                 pole_divisor, support_point_count,
                                 veps_member, y_set_member, z_set_member)
-from funcfield.fields import QQ
-from funcfield.poly import poly_gcd
+from funcfield.fields import PrimeField, QQ
+from funcfield.poly import Poly, poly_gcd, radical
 from funcfield.ratfun import INFINITY, RatFun
 from funcfield.textio import parse_poly, parse_ratfun
-from funcfield.verify import random_ratfun
+from funcfield.verify import random_poly, random_ratfun
 
 
 def P(text):
@@ -239,6 +239,41 @@ def test_multiplicity_contradiction(rng=random.Random(8080)):
     from funcfield.verify import _contradiction_case_fails
 
     assert all(_contradiction_case_fails(rng) for _ in range(25))
+
+
+# -- characteristic p -------------------------------------------------------
+
+
+def test_predicates_on_a_pole_in_z_cubed_over_f3():
+    # over F_3, z^3 + 1 = (z + 1)^3 has zero derivative
+    f3 = PrimeField(3)
+    f = parse_ratfun("1/(z^3+1)", f3)
+    assert str(pole_divisor(f)) == "3*(z + 1)"
+    assert pn_member(f, 1)
+    assert not f.is_square("geometric").ok
+    square = (f ** 4).is_square("base-field")
+    assert square.ok
+    assert square.witness == parse_ratfun("1/(z^6 + 2*z^3 + 1)", f3)
+    assert campana_member(f, [], 3)
+    assert not campana_member(f, [], 4)
+
+
+def test_pole_support_matches_radical_over_fp(rng=random.Random(3535)):
+    # the verify-divisors oracle over F_3 and F_5, on denominators whose
+    # factors carry exponents up to 2p + 1, so parts in z^p are common
+    for p in (3, 5):
+        field = PrimeField(p)
+        for _ in range(60):
+            den = Poly.one(field)
+            for _ in range(rng.randint(1, 3)):
+                factor = random_poly(rng, 3, field)
+                if factor.degree > 0:
+                    den = den * factor ** rng.randint(1, 2 * p + 1)
+            f = RatFun(random_poly(rng, 12, field, nonzero=True), den)
+            distinct = radical(f.den).degree
+            if f.num.degree > f.den.degree:
+                distinct += 1
+            assert support_point_count(pole_divisor(f)) == distinct, (p, f)
 
 
 # -- serialization ----------------------------------------------------------

@@ -950,9 +950,31 @@ def test_bad_fibers_zero_c4_surface():
     assert shioda_tate_rank(list(fibers.values())) == 0
 
 
-def test_bad_fibers_requires_polynomial_coefficients():
-    with pytest.raises(ValueError):
-        bad_fibers(Curve(R("1/z"), RatFun.one(QQ)))
+def _fiber_table(curve):
+    return [(str(f.place), f.kodaira, f.v_c4, f.v_c6, f.v_delta)
+            for f in bad_fibers(curve)]
+
+
+def test_bad_fibers_on_rational_curves_read_the_polynomial_model():
+    # A = 1/z, B = 1 is the reference curve in w = 1/z: its III* moves to
+    # z = 0 and its I1 block to 27 z^3 + 4
+    rational = Curve(R("1/z"), RatFun.one(QQ))
+    assert _fiber_table(rational) == [("z^3 + 4/27", "I1", 0, 0, 1),
+                                      ("z", "III*", 3, 6, 9)]
+    lattice = mordell_weil_lattice(bad_fibers(rational))
+    assert (lattice.name, lattice.rank) == ("A1*", 1)
+    # A = 1/z^2, B = 1/z^3 has I0* at z = 0 and at infinity
+    twist = Curve(R("1/z^2"), R("1/z^3"))
+    assert _fiber_table(twist) == [("z", "I0*", 2, 3, 6),
+                                   ("inf", "I0*", 2, 3, 6)]
+    assert shioda_tate_rank(bad_fibers(twist)) == 0
+    assert mordell_weil_lattice(bad_fibers(twist)) is None
+    # (x, y) -> (x / (z+1)^2, y / (z+1)^3) of the reference curve: the
+    # same fibers, rank and lattice
+    moved = Curve(R("z/(z+1)^4"), R("1/(z+1)^6"))
+    assert _fiber_table(moved) == _fiber_table(CURVE)
+    assert mordell_weil_lattice(bad_fibers(moved)) \
+        == mordell_weil_lattice(bad_fibers(CURVE))
 
 
 # -- Shioda-Tate rank ---------------------------------------------------------

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from funcfield.fields import FieldMismatchError, PrimeField, QQ, is_prime
-from funcfield.poly import (InseparablePartError, Poly, poly_gcd, radical,
-                            squarefree_decomposition)
+from funcfield.poly import Poly, poly_gcd, radical, squarefree_decomposition
 from funcfield.ratfun import INFINITY, RatFun
 from funcfield.textio import ParseError, parse_poly, parse_point, parse_ratfun
 
@@ -197,17 +196,83 @@ def test_squarefree_zero_rejected():
         squarefree_decomposition(Poly.zero(QQ))
 
 
-def test_squarefree_inseparable_part_reported():
-    f2 = PrimeField(2)
-    with pytest.raises(InseparablePartError):
-        squarefree_decomposition(P("z^2 + 1", f2))  # (z+1)^2 in F_2[z^2]
-    try:
-        squarefree_decomposition(P("z^4 * (z + 1)", f2))
-    except InseparablePartError as error:
-        assert error.part == P("z^4", f2)
-        assert (P("z + 1", f2), 1) in error.factors
-    else:
-        pytest.fail("inseparable part went unreported")
+def test_squarefree_inseparable_parts_decomposed():
+    # parts in z^p are p-th powers, whose roots are decomposed in turn
+    f2, f3, f5 = PrimeField(2), PrimeField(3), PrimeField(5)
+    cases = [
+        ("z^2 + 1", f2, [("z + 1", 2)]),
+        ("z^4 * (z + 1)", f2, [("z + 1", 1), ("z", 4)]),
+        ("(z + 1)^3", f3, [("z + 1", 3)]),
+        ("(z + 1)^2 * (z + 2)^6", f3, [("z + 1", 2), ("z + 2", 6)]),
+        ("(z^2 + 1)^5 * (z + 1)^10", f5, [("z^2 + 1", 5), ("z + 1", 10)]),
+    ]
+    for text, field, expected in cases:
+        assert squarefree_decomposition(P(text, field)) \
+            == [(P(s, field), e) for s, e in expected]
+
+
+def _sqf_case(rng, field, max_exponent):
+    """A random nonzero polynomial over a prime field: a scaled product of
+    one to four random factors of degree 1 to 3 with exponents up to
+    max_exponent, so parts in z^p are common."""
+    p = field.characteristic
+    f = Poly.constant(rng.randrange(1, p), field)
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(1, 3)
+        factor = Poly([rng.randrange(p) for _ in range(degree)]
+                      + [rng.randrange(1, p)], field)
+        f = f * factor ** rng.randint(1, max_exponent)
+    return f
+
+
+def test_squarefree_matches_sympy_gf_sqf_list(rng=random.Random(2828)):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    # at p = 97 the products reach degree ~1400, so fewer of them
+    for p, count in ((2, 40), (3, 40), (5, 40), (7, 40), (97, 8)):
+        field = PrimeField(p)
+        for _ in range(count):
+            f = _sqf_case(rng, field, 2 * p + 1)
+            _, ref = galoistools.gf_sqf_list(list(reversed(f._ints)), p, ZZ)
+            expected = sorted(((tuple(int(c) for c in reversed(s)), e)
+                               for s, e in ref), key=lambda pair: pair[1])
+            assert [(s._ints, e) for s, e in squarefree_decomposition(f)] \
+                == expected, (p, f)
+
+
+def test_squarefree_contract_property():
+    # over Q, F_2, F_3 and F_5: the product rebuilds monic(f), each factor
+    # is monic and squarefree, the factors are pairwise coprime, and the
+    # exponents strictly ascend
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, max_examples=120, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from([0, 2, 3, 5]), st.lists(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=4),
+                  st.integers(1, 11)), min_size=1, max_size=4))
+    def check(p, parts):
+        field = PrimeField(p) if p else QQ
+        f = Poly.one(field)
+        for coeffs, exponent in parts:
+            factor = Poly(coeffs, field)
+            if not factor.is_zero:
+                f = f * factor ** exponent
+        factors = squarefree_decomposition(f)
+        rebuilt = Poly.one(field)
+        for s, e in factors:
+            assert s.is_monic and s.degree > 0
+            assert radical(s) == s
+            rebuilt = rebuilt * s ** e
+        assert rebuilt == f.monic()
+        for i, (s1, _) in enumerate(factors):
+            for s2, _ in factors[i + 1:]:
+                assert poly_gcd(s1, s2).degree == 0
+        exponents = [e for _, e in factors]
+        assert exponents == sorted(set(exponents))
+
+    check()
 
 
 def test_squarefree_char_p_separable_cases():
