@@ -29,7 +29,7 @@ from .fields import FpElement, PrimeField, same_field
 from .poly import (Poly, _add, _divmod, _gcd, _mul, _normal, _over_lc,
                    _powmod, _trim, poly_gcd)
 from .ratfun import RatFun
-from .textio import parse_poly
+from .textio import _checked, parse_poly
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 # Components plus cleared-numerator coefficients of one Frobenius
@@ -109,13 +109,6 @@ class DioSystem:
                 total = total + term
             values.append(total)
         return values
-
-
-def _checked(value, kind: type, what: str):
-    """value, when it is of type `kind` (a JSON true or false is no int)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what}: expected {kind.__name__}, got {value!r}")
-    return value
 
 
 def _monomials(values: Sequence[Sequence[int]],

@@ -5,7 +5,9 @@ polynomial; a block of degree d stands for d geometric points over the
 algebraic closure, grouped Galois-stably.  A divisor maps places to positive
 multiplicities, with the finite blocks of distinct entries pairwise coprime,
 so multiplicities and geometric point counts are exact without ever
-factoring into irreducibles.
+factoring into irreducibles.  Blocks are made coprime by one routine,
+`_coprime_basis`, the factor refinement (gcd-free basis) of Bach, Driscoll
+and Shallit (1993); divisor sums and `elliptic.bad_fibers` both use it.
 
 The membership predicates at the bottom express pole-behaviour classes of
 rational functions: pole count without multiplicity (pn_member), the
@@ -24,7 +26,7 @@ from typing import Iterable, List, Optional, Tuple
 from .fields import Field, FpElement
 from .poly import Poly, _strip_root, poly_gcd, squarefree_decomposition
 from .ratfun import INFINITY, RatFun
-from .textio import parse_poly
+from .textio import _checked, parse_poly
 
 
 def _coeff_key(c):
@@ -78,7 +80,7 @@ class Divisor:
     def __init__(self, entries: Iterable[Tuple[Place, int]] = ()):
         pairs = list(entries)
         for place, mult in pairs:
-            if mult < 1:
+            if _checked(mult, int, "multiplicity") < 1:
                 raise ValueError(f"multiplicity {mult} at {place} not >= 1")
         finite = [p for p, _ in pairs if not p.is_infinity]
         if sum(1 for p, _ in pairs if p.is_infinity) > 1:
@@ -105,16 +107,12 @@ class Divisor:
 
     def __add__(self, other: "Divisor") -> "Divisor":
         """Sum of divisors, refining overlapping blocks into coprime ones."""
-        inf_mult = 0
-        basis: List[List] = []  # [poly, mult] with polys pairwise coprime
-        for source in (self.entries, other.entries):
-            for place, mult in source:
-                if place.is_infinity:
-                    inf_mult += mult
-                    continue
-                _insert_block(basis, place.poly, mult)
-        # blocks of places and their gcd quotients: monic and squarefree
-        pairs = [(Place(p), m) for p, m in basis]
+        sides = [[(p.poly, m) for p, m in d.entries if not p.is_infinity]
+                 for d in (self, other)]
+        pairs = [(Place(block), sum(mults))  # monic, squarefree
+                 for block, mults in _coprime_basis(sides)]
+        inf_mult = sum(m for d in (self, other) for p, m in d.entries
+                       if p.is_infinity)
         if inf_mult:
             pairs.append((Place.infinity(), inf_mult))
         return Divisor(pairs)
@@ -126,26 +124,39 @@ class Divisor:
             f"{m}*({p})" if m != 1 else f"({p})" for p, m in self.entries)
 
 
-def _insert_block(basis: List[List], poly: Poly, mult: int) -> None:
-    remaining = poly
-    i = 0
-    while i < len(basis) and remaining.degree > 0:
-        existing, existing_mult = basis[i]
-        g = poly_gcd(existing, remaining)
-        if g.degree == 0:
-            i += 1
-            continue
-        rest = existing // g
-        if rest.degree > 0:
-            basis[i] = [rest, existing_mult]
-            basis.insert(i + 1, [g, existing_mult + mult])
-            i += 2
-        else:
-            basis[i] = [g, existing_mult + mult]
-            i += 1
-        remaining = remaining // g
-    if remaining.degree > 0:
-        basis.append([remaining, mult])
+def _coprime_basis(sources) -> List[Tuple[Poly, List[int]]]:
+    """Factor refinement of k lists of (monic squarefree block, mult).
+
+    Returns [(block, [m_0, ..., m_{k-1}])] with the blocks monic, squarefree
+    and pairwise coprime, and m_i the block's multiplicity in source i, so
+    each source's product of block^mult is the product of block^m_i.  Each
+    incoming block takes its gcd g with every basis block in turn; a basis
+    block that g splits is replaced in place by g, followed by the rest,
+    and what is left of the incoming block is appended.  So blocks keep
+    their order of first appearance.
+    """
+    basis: List[Tuple[Poly, List[int]]] = []
+    for s, source in enumerate(sources):
+        for block, mult in source:
+            i = 0
+            while i < len(basis) and block.degree > 0:
+                existing, mults = basis[i]
+                g = poly_gcd(existing, block)
+                i += 1
+                if g.degree == 0:
+                    continue
+                block = block // g
+                shared = list(mults)
+                shared[s] += mult
+                basis[i - 1] = (g, shared)
+                if g.degree < existing.degree:
+                    basis.insert(i, (existing // g, mults))
+                    i += 1
+            if block.degree > 0:
+                mults = [0] * len(sources)
+                mults[s] = mult
+                basis.append((block, mults))
+    return basis
 
 
 # -- divisor measurements ----------------------------------------------
@@ -273,9 +284,13 @@ def divisor_to_json(divisor: Divisor) -> List[dict]:
 
 
 def divisor_from_json(items: Iterable[dict], field: Field) -> Divisor:
+    """The divisor of `divisor_to_json`'s list form; an entry that is no
+    object, a place that is no string or a mult that is no JSON integer
+    raises ValueError."""
     pairs = []
     for item in items:
-        place_text, mult = item["place"], int(item["mult"])
+        item = _checked(item, dict, "a divisor entry")
+        place_text, mult = _checked(item["place"], str, "place"), item["mult"]
         if place_text == "inf":
             pairs.append((Place.infinity(), mult))
         else:

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import ceil, inf
 from typing import List, Optional, Tuple
 
-from .divisors import Place
+from .divisors import Place, _coprime_basis
 from .fields import Field, QQ, same_field
 from .poly import (Poly, _over_lc, poly_gcd, radical,
                    squarefree_decomposition)
@@ -564,24 +564,19 @@ def _minimalize(v4: Optional[int], v6: Optional[int],
     return v4, v6, vd
 
 
-def _block_valuation(block: Poly, decomposition) -> int:
-    for factor, exponent in decomposition:
-        if (factor % block).is_zero:
-            return exponent
-    return 0
-
-
 def bad_fibers(curve: Curve) -> List[FiberReport]:
     """All bad fibers of the elliptic surface of the curve.
 
     The fibers are read on `_curve_model`'s model, whose A and B are
     polynomials; it is isomorphic to the curve over k(z), so its minimal
     models, bad fibers and Kodaira types are the curve's.  Finite places
-    are the squarefree blocks of the discriminant, refined so the c4/c6
-    valuations are constant across each block, then minimalized and
-    classified.  The place at infinity uses the substitution z = 1/w with
-    the least (x, y) -> (u^2 x, u^3 y) rescaling making the coefficients
-    w-integral, after which valuations reduce to degree counts.
+    are the blocks of the discriminant in the factor refinement
+    (`divisors._coprime_basis`) of the squarefree decompositions of delta,
+    c4 and c6, so each block carries one triple (v_c4, v_c6, v_delta).
+    The place at infinity uses the substitution z = 1/w with the least
+    (x, y) -> (u^2 x, u^3 y) rescaling making the coefficients w-integral,
+    after which valuations reduce to degree counts.  Each triple is then
+    minimalized and classified.
     """
     if curve.field.characteristic != 0:
         raise ValueError("fiber classification is residue-characteristic 0")
@@ -590,43 +585,25 @@ def bad_fibers(curve: Curve) -> List[FiberReport]:
     delta, c4, c6 = discriminant_and_c_invariants(curve)
     delta_poly, c4_poly, c6_poly = delta.num, c4.num, c6.num
 
-    reports: List[FiberReport] = []
-
-    # finite part: refine delta blocks against c4/c6 blocks
-    c4_dec = [] if c4_poly.is_zero else squarefree_decomposition(c4_poly)
-    c6_dec = [] if c6_poly.is_zero else squarefree_decomposition(c6_poly)
-    refiners = [s for s, _ in c4_dec] + [s for s, _ in c6_dec]
-    if delta_poly.degree > 0:
-        for block, v_delta in squarefree_decomposition(delta_poly):
-            pieces = [block]
-            for refiner in refiners:
-                split: List[Poly] = []
-                for piece in pieces:
-                    g = poly_gcd(piece, refiner)
-                    if 0 < g.degree < piece.degree:
-                        split.extend([g, piece // g])
-                    else:
-                        split.append(piece)
-                pieces = split
-            for piece in pieces:
-                v4 = None if c4_poly.is_zero else _block_valuation(piece, c4_dec)
-                v6 = None if c6_poly.is_zero else _block_valuation(piece, c6_dec)
-                v4, v6, vd = _minimalize(v4, v6, v_delta)
-                kodaira = kodaira_classify(v4, v6, vd)
-                if kodaira != "I0":
-                    reports.append(
-                        FiberReport(Place.finite(piece), v4, v6, vd, kodaira))
-
+    sources = [[] if poly.is_zero else squarefree_decomposition(poly)
+               for poly in (delta_poly, c4_poly, c6_poly)]
+    # the blocks of delta in the refinement, each with one triple; they
+    # are monic and squarefree already, so Place.finite has nothing to check
+    triples = [(Place(block), v4, v6, vd)
+               for block, (vd, v4, v6) in _coprime_basis(sources) if vd]
     # infinity: valuations in w = 1/z after the minimal u = w^k rescaling
     # (the zero polynomial has degree -1, which asks for no k)
     k = max(0, ceil(a_poly.degree / 4), ceil(b_poly.degree / 6))
-    v4 = None if c4_poly.is_zero else 4 * k - c4_poly.degree
-    v6 = None if c6_poly.is_zero else 6 * k - c6_poly.degree
-    vd = 12 * k - delta_poly.degree
-    v4, v6, vd = _minimalize(v4, v6, vd)
-    kodaira = kodaira_classify(v4, v6, vd)
-    if kodaira != "I0":
-        reports.append(FiberReport(Place.infinity(), v4, v6, vd, kodaira))
+    triples.append((Place.infinity(), 4 * k - c4_poly.degree,
+                    6 * k - c6_poly.degree, 12 * k - delta_poly.degree))
+    reports: List[FiberReport] = []
+    for place, v4, v6, vd in triples:
+        # None: c4 or c6 vanishes identically
+        v4, v6, vd = _minimalize(None if c4_poly.is_zero else v4,
+                                 None if c6_poly.is_zero else v6, vd)
+        kodaira = kodaira_classify(v4, v6, vd)
+        if kodaira != "I0":
+            reports.append(FiberReport(place, v4, v6, vd, kodaira))
     return reports
 
 

@@ -265,3 +265,10 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid rational {text!r}: {exc}", 0) from None
+
+
+def _checked(value, kind: type, what: str):
+    """value, when it is of type `kind` (a JSON true or false is no int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return value

@@ -6,13 +6,14 @@ from math import inf
 
 import pytest
 
-from funcfield.divisors import (Divisor, Place, campana_member,
-                                divisor_from_json, divisor_to_json,
-                                geometric_degree, mult_at, pn_member,
-                                pole_divisor, support_point_count,
+from funcfield.divisors import (Divisor, Place, _coprime_basis,
+                                campana_member, divisor_from_json,
+                                divisor_to_json, geometric_degree, mult_at,
+                                pn_member, pole_divisor, support_point_count,
                                 veps_member, y_set_member, z_set_member)
 from funcfield.fields import PrimeField, QQ
-from funcfield.poly import Poly, poly_gcd, radical
+from funcfield.poly import (Poly, poly_gcd, radical,
+                            squarefree_decomposition)
 from funcfield.ratfun import INFINITY, RatFun
 from funcfield.textio import parse_poly, parse_ratfun
 from funcfield.verify import random_poly, random_ratfun
@@ -51,6 +52,9 @@ def test_divisor_validation():
         D(("z^2 - 1", 1), ("z - 1", 2))  # blocks share the root 1
     with pytest.raises(ValueError):
         D(("inf", 1), ("inf", 2))
+    for mult in (1.5, True, "3", Fraction(2)):  # a bool is no int here
+        with pytest.raises(ValueError):
+            D(("z - 1", mult))
 
 
 def test_divisor_addition_refines_blocks():
@@ -207,6 +211,59 @@ def test_divisor_sum_is_additive(rng=random.Random(31337)):
                 mult_at(a, point) + mult_at(b, point)
 
 
+def _product(pairs, field):
+    total = Poly.one(field)
+    for block, mult in pairs:
+        total = total * block ** mult
+    return total
+
+
+def _first_appearance_key(piece, flat):
+    """Where `_coprime_basis` must place a piece of its output: by the first
+    source block it divides, then common part before rest for each later
+    block that splits it, the first such split deciding."""
+    start = next(i for i, block in enumerate(flat) if (block % piece).is_zero)
+    return (start,) + tuple(not (block % piece).is_zero
+                            for block in flat[start + 1:])
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+def test_coprime_basis_contract(p, rng=random.Random(2929)):
+    field = PrimeField(p) if p else QQ
+    for _ in range(60):
+        factors = [random_poly(rng, 3, field) for _ in range(4)]
+        factors = [f for f in factors if f.degree > 0]
+        sources = []
+        for _ in range(rng.randint(1, 3)):
+            product = Poly.one(field)
+            for factor in rng.sample(factors, rng.randint(0, len(factors))):
+                product = product * factor ** rng.randint(1, p + 2)
+            sources.append(squarefree_decomposition(product))
+        basis = _coprime_basis(sources)
+        blocks = [block for block, _ in basis]
+        for block, mults in basis:
+            assert block == block.monic() == radical(block)
+            assert len(mults) == len(sources) and any(mults)
+        for i, a in enumerate(blocks):
+            for b in blocks[i + 1:]:
+                assert poly_gcd(a, b).degree == 0
+        for i, source in enumerate(sources):
+            assert _product([(block, mults[i]) for block, mults in basis],
+                            field) == _product(source, field)
+        flat = [block for source in sources for block, _ in source]
+        keys = [_first_appearance_key(block, flat) for block in blocks]
+        assert keys == sorted(set(keys))
+
+
+def test_coprime_basis_splits_in_place():
+    # the common part z - 1 takes the place of z^2 - 1, the rest follows,
+    # and the new part z - 2 of the second block is appended
+    basis = _coprime_basis([[(P("z^2 - 1"), 1), (P("z + 3"), 4)],
+                            [(P("z^2 - 3*z + 2"), 2)]])
+    assert basis == [(P("z - 1"), [1, 2]), (P("z + 1"), [1, 0]),
+                     (P("z + 3"), [4, 0]), (P("z - 2"), [0, 2])]
+
+
 def test_pole_degree_equals_map_degree(rng=random.Random(1234)):
     for _ in range(120):
         f = random_ratfun(rng, nonzero=True)
@@ -293,3 +350,13 @@ def test_serialization_roundtrip_and_order():
     assert [item["place"] for item in items] == ["z - 1", "z^2 + 1", "inf"]
     assert divisor_from_json(items, QQ) == divisor
     assert divisor_to_json(divisor_from_json(items, QQ)) == items
+
+
+def test_serialization_rejects_entries_of_the_wrong_json_type():
+    for item in ({"place": "z - 1", "mult": 2.7},
+                 {"place": "z - 1", "mult": True},
+                 {"place": "z - 1", "mult": "3"},
+                 {"place": 5, "mult": 1},
+                 ["z - 1", 1]):
+        with pytest.raises(ValueError):
+            divisor_from_json([item], QQ)

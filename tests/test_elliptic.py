@@ -19,7 +19,7 @@ from funcfield.elliptic import (Curve, ECPoint, FiberReport,
                                 kodaira_classify, mordell_weil_lattice,
                                 naive_height, on_curve, shioda_tate_rank)
 from funcfield.fields import PrimeField, QQ
-from funcfield.poly import Poly, poly_gcd
+from funcfield.poly import Poly, poly_gcd, radical, squarefree_decomposition
 from funcfield.ratfun import RatFun
 from funcfield.textio import parse_poly, parse_ratfun
 
@@ -929,6 +929,8 @@ def test_bad_fibers_splits_mixed_multiplicity_block():
     # A(1) = 0), forcing the block to split into I2 at 0 and II at 1.
     curve = Curve(R("2*z^2 + z - 3"), R("-z^2 - z + 2"))
     fibers = {str(f.place): f for f in bad_fibers(curve)}
+    # z - 1, common to the block and c4, takes the block's place
+    assert list(fibers) == ["z^2 + 7/2*z + 99/32", "z - 1", "z", "inf"]
     assert fibers["z"].kodaira == "I2"
     assert fibers["z - 1"].kodaira == "II"
     assert fibers["z - 1"].v_c4 == 1
@@ -948,6 +950,58 @@ def test_bad_fibers_zero_c4_surface():
     assert fibers["inf"].kodaira == "II"
     assert fibers["inf"].v_delta == 2
     assert shioda_tate_rank(list(fibers.values())) == 0
+
+
+def _exact_multiplicity(block, f):
+    """m with f = block^m * q and q prime to block, by exact division."""
+    m = 0
+    while True:
+        q, r = divmod(f, block)
+        if not r.is_zero:
+            assert poly_gcd(f, block).degree == 0, "mixed multiplicities"
+            return m
+        f, m = q, m + 1
+
+
+def test_bad_fibers_match_exact_division_on_seeded_curves(
+        rng=random.Random(1729)):
+    # A and B share roots to powers up to 2 and 3, so the squarefree
+    # blocks of delta often split against those of c4 and c6
+    roots = [parse_poly(f"z - {a}") for a in range(-2, 3)] \
+        + [parse_poly("z^2 + 1"), parse_poly("z^2 + z + 2")]
+    checked = split = 0
+    while checked < 120:
+        a, b = (Poly([rng.choice([-2, -1, 1, 3])], QQ) for _ in range(2))
+        for factor in rng.sample(roots, 4):
+            a = a * factor ** rng.randint(0, 2)
+            b = b * factor ** rng.randint(0, 3)
+        if rng.random() < 0.2:
+            a = Poly.zero(QQ)
+        try:
+            curve = Curve(RatFun(a, Poly.one(QQ)), RatFun(b, Poly.one(QQ)))
+        except ValueError:
+            continue  # singular
+        checked += 1
+        delta, c4, c6 = (f.num for f in discriminant_and_c_invariants(curve))
+        finite = [f for f in bad_fibers(curve) if not f.place.is_infinity]
+        blocks = [f.place.poly for f in finite]
+        for i, block in enumerate(blocks):
+            assert (radical(delta) % block).is_zero
+            assert all(poly_gcd(block, other).degree == 0
+                       for other in blocks[i + 1:])
+        sqf_blocks = [s for s, _ in squarefree_decomposition(delta)]
+        split += any(block not in sqf_blocks for block in blocks)
+        for report in finite:
+            block = report.place.poly
+            m = _exact_multiplicity(block, delta)
+            k = (m - report.v_delta) // 12
+            assert k >= 0 and m == report.v_delta + 12 * k
+            for v, f, step in ((report.v_c4, c4, 4), (report.v_c6, c6, 6)):
+                if f.is_zero:
+                    assert v is None
+                else:
+                    assert _exact_multiplicity(block, f) == v + step * k
+    assert split >= 10
 
 
 def _fiber_table(curve):
